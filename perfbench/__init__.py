@@ -1,0 +1,5 @@
+"""The repository benchmark: end-to-end workloads and an outside-in trace.
+
+``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` runs one workload; see ``perfbench/README.md``.
+"""
