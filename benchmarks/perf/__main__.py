@@ -35,9 +35,7 @@ def main(argv=None) -> int:
     for name in sorted(metrics):
         shown = (f"{metrics[name]:>14,.0f}" if name.endswith("_per_s")
                  else f"{metrics[name]:>14.3f}")
-        vs = (f"({speedups[name]:.2f}x vs baseline)"
-              if name in speedups else "(new metric, no baseline)")
-        print(f"{name:>27}: {shown}   {vs}")
+        print(f"{name:>24}: {shown}   ({speedups[name]:.2f}x vs baseline)")
     print(f"report: {path}")
 
     if args.check_targets:

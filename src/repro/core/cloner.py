@@ -615,12 +615,9 @@ class DittoCloner:
             # Tuning must measure the tier's clean behaviour: carrying
             # the profiling run's fault plan or resilience policy into
             # the calibration loop would fit knobs to injected noise.
-            # shards=None: single-tier calibration is a one-node
-            # simulation — the sharded runner would only add window
-            # overhead to each of the many tiny tuning runs.
             tune_config = replace(
                 profiling_config, tracer=None,
-                fault_plan=None, resilience=None, shards=None,
+                fault_plan=None, resilience=None,
                 seed=derive_tier_seed(seed, name, "finetune"),
             )
         return TierTask(

@@ -58,18 +58,10 @@ class ExperimentConfig:
     #: watchdog: livelock detector — consecutive dispatches allowed
     #: without the simulated clock advancing
     max_stalled_events: Optional[int] = None
-    #: partition the deployment's nodes across this many simulation
-    #: shards (processes) with deterministic cross-shard messaging —
-    #: see :mod:`repro.sim.shard`. ``None`` keeps the single-process
-    #: runner; any value (including 1) selects the sharded runner,
-    #: whose result digest is independent of the shard count.
-    shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise ConfigurationError("duration must be positive")
-        if self.shards is not None and self.shards < 1:
-            raise ConfigurationError("shards must be >= 1")
         if self.max_sim_events is not None and self.max_sim_events < 1:
             raise ConfigurationError("max_sim_events must be >= 1")
         if self.sim_deadline_s is not None \
@@ -107,8 +99,7 @@ def run_experiment(
     """
     session = current_session()
     timeline_run = None
-    if (session is not None and session.timeline is not None
-            and config.shards is None):
+    if session is not None and session.timeline is not None:
         load_text = (f"open {load.qps:g} qps" if load.kind == "open"
                      else f"closed {load.connections} conns")
         timeline_run = session.timeline.begin_run(
@@ -116,11 +107,7 @@ def run_experiment(
     with span("run_experiment", category="experiment",
               service=deployment.entry_service,
               duration_s=config.duration_s):
-        if config.shards is not None:
-            from repro.sim.shard import run_sharded_experiment
-            result = run_sharded_experiment(deployment, load, config)
-        else:
-            result = _run_experiment(deployment, load, config, timeline_run)
+        result = _run_experiment(deployment, load, config, timeline_run)
     if session is not None:
         session.registry.counter(
             "ditto_experiments_total",
@@ -138,11 +125,9 @@ def run_experiment(
 class SimulationBuild:
     """One assembled simulation: environment, devices, services, load.
 
-    Produced by :func:`_build_simulation` for both the single-process
-    runner (all nodes in one environment) and the sharded runner (one
-    build per partition, services on non-local nodes replaced by
-    cross-shard stubs; ``generator``/``recorder`` are ``None`` when the
-    entry service lives elsewhere).
+    Produced by :func:`_build_simulation`: every node of the deployment
+    in one environment, with the load generator driving the entry
+    service.
     """
 
     env: Environment
@@ -150,8 +135,8 @@ class SimulationBuild:
     tracer: Tracer
     nodes: Dict[str, Node]
     registry: Dict[str, ServiceRuntime]
-    recorder: Optional[LatencyRecorder]
-    generator: Optional[object]
+    recorder: LatencyRecorder
+    generator: object
 
 
 def _build_simulation(
@@ -159,17 +144,8 @@ def _build_simulation(
     load: LoadSpec,
     config: ExperimentConfig,
     timeline_run=None,
-    local_nodes: Optional[frozenset] = None,
-    remote_stub=None,
 ) -> SimulationBuild:
-    """Assemble one simulation (or one shard partition of it).
-
-    ``local_nodes`` limits the build to a subset of the deployment's
-    nodes; services placed elsewhere are registered as
-    ``remote_stub(service_name, node_name)`` proxies instead of
-    runtimes, and the load generator is only built when the entry
-    service is local. ``None`` builds everything (the classic runner).
-    """
+    """Assemble one simulation of ``deployment`` under ``load``."""
     env = Environment(timeline=timeline_run)
     stream = RngStream(config.seed, "experiment")
     # Fault injection: the injector draws exclusively from streams under
@@ -189,8 +165,6 @@ def _build_simulation(
     nodes: Dict[str, Node] = {}
     node_states: Dict[str, NodeState] = {}
     for node_name in deployment.node_names():
-        if local_nodes is not None and node_name not in local_nodes:
-            continue
         factors_probe = contention_factors(0.0, corunners)
         node = Node(
             env, platform, name=node_name,
@@ -221,9 +195,6 @@ def _build_simulation(
     registry: Dict[str, ServiceRuntime] = {}
     for service_name, spec in deployment.services.items():
         service_node = deployment.node_of(service_name)
-        if local_nodes is not None and service_node not in local_nodes:
-            registry[service_name] = remote_stub(service_name, service_node)
-            continue
         node = nodes[service_node]
         factors = contention_factors(spec.program.resident_bytes, corunners)
         runtime = ServiceRuntime(
@@ -249,13 +220,7 @@ def _build_simulation(
             node.filesystem.page_cache.write(
                 file_spec, min(file_spec.size_bytes, capacity))
     for runtime in registry.values():
-        if isinstance(runtime, ServiceRuntime):
-            runtime.start()
-    entry_node = deployment.node_of(deployment.entry_service)
-    if local_nodes is not None and entry_node not in local_nodes:
-        return SimulationBuild(env=env, injector=injector, tracer=tracer,
-                               nodes=nodes, registry=registry,
-                               recorder=None, generator=None)
+        runtime.start()
     entry = registry[deployment.entry_service]
     recorder = LatencyRecorder()
 
@@ -309,7 +274,7 @@ def _breaker_summary(registry: Dict[str, ServiceRuntime]) -> Dict:
             for target, breaker in rt._breakers.items()
         }
         for name, rt in registry.items()
-        if isinstance(rt, ServiceRuntime) and rt._breakers
+        if rt._breakers
     }
 
 

@@ -224,22 +224,6 @@ class _Noop:
 NOOP = _Noop()
 
 
-class _Call:
-    """Queue entry invoking a plain callable at its scheduled time.
-
-    Backs :meth:`Environment.call_at` — the cheapest way to run code at
-    a future simulated time without an ``Event`` or a process.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[], None]) -> None:
-        self.fn = fn
-
-    def fire(self, env: "Environment") -> None:
-        self.fn()
-
-
 class Process(Event):
     """Wraps a generator as a schedulable simulation process.
 
@@ -545,31 +529,6 @@ class Environment:
         self._pool_served += initial - avail
         return out
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Invoke ``fn()`` at simulated time ``when``.
-
-        The cheapest scheduling primitive — one bucket slot, no
-        ``Event``, nothing to wait on. The sharded-simulation router
-        uses it to inject cross-shard deliveries at their exact
-        timestamps.
-        """
-        when = float(when)
-        if when < self._now:
-            raise SimulationError(
-                f"call_at({when:g}) is in the past (now={self._now:g})")
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [1, _Call(fn)]
-            heapq.heappush(self._times, when)
-        else:
-            bucket.append(_Call(fn))
-
-    def call_after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Invoke ``fn()`` after ``delay`` time units."""
-        if delay < 0:
-            raise SimulationError(f"negative call_after delay: {delay}")
-        self.call_at(self._now + delay, fn)
-
     def process(
         self, generator: Generator[Event, Any, Any], name: str = ""
     ) -> Process:
@@ -780,7 +739,7 @@ class Environment:
 
         :meth:`run` calls this automatically whenever a run drains the
         queue; long-lived environments driven by ``run(until=horizon)``
-        windows (the sharded coordinator) may call it explicitly.
+        windows may call it explicitly.
         """
         pool = self._timeout_pool
         keep = max(_TIMEOUT_POOL_KEEP, self._pool_served)

@@ -188,6 +188,12 @@ REFERENCE_DIGESTS = {
         "405ea31291dd15f022a460fffab9419812f64d81b88d09899684a834b3c58f27",
     "memcached_clone_probe":
         "1012d89ce423a37913c832830d25e077bddca290f388a66b841b6f120e92d018",
+    # Multi-node social network (14 services round-robin on three
+    # nodes): the only pinned runs whose RPCs cross nodes.
+    "socialnet_three_node_open":
+        "3cde58baa5c44565f2686d38872d09f2bbfcdebd4eb793e5f27529ab35878c0e",
+    "socialnet_three_node_closed":
+        "cd9be6e538ec79a74087d61eedd668b30a07c2be85c3de43eb19c271c92ee7c4",
 }
 
 
@@ -268,3 +274,30 @@ class TestDigestEquivalence:
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.01, seed=7))
         assert _result_digest(probe) == \
             REFERENCE_DIGESTS["memcached_clone_probe"]
+
+    @staticmethod
+    def _socialnet_three_node_digest(load):
+        from repro import (ExperimentConfig, PLATFORM_A,
+                           build_social_network, social_network_deployment)
+        from repro.runtime import run_experiment
+
+        names = list(build_social_network())
+        placement = {name: f"node{i % 3}" for i, name in enumerate(names)}
+        result = run_experiment(
+            social_network_deployment(placement=placement), load,
+            ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=11))
+        return _result_digest(result)
+
+    def test_socialnet_three_node_open_loop_digest_unchanged(self):
+        from repro.loadgen import LoadSpec
+
+        assert self._socialnet_three_node_digest(
+            LoadSpec.open_loop(25_000)) == \
+            REFERENCE_DIGESTS["socialnet_three_node_open"]
+
+    def test_socialnet_three_node_closed_loop_digest_unchanged(self):
+        from repro.loadgen import LoadSpec
+
+        assert self._socialnet_three_node_digest(
+            LoadSpec.closed_loop(8, think_time_s=1e-4)) == \
+            REFERENCE_DIGESTS["socialnet_three_node_closed"]

@@ -604,6 +604,21 @@ class TestCalendarHeapEquivalence:
                 self.now = when
                 fn()
 
+    class _EnvScheduler:
+        """Gives ``Environment`` the reference's ``call_after`` interface:
+        each call schedules an ``env.timeout(delay)`` and appends ``fn``
+        as its callback."""
+
+        def __init__(self, env):
+            self.env = env
+
+        @property
+        def now(self):
+            return self.env.now
+
+        def call_after(self, delay, fn):
+            self.env.timeout(delay).callbacks.append(lambda _event: fn())
+
     @staticmethod
     def _drive(scheduler, rng, order):
         """Seed a workload whose callbacks chain further entries.
@@ -640,17 +655,19 @@ class TestCalendarHeapEquivalence:
         self._drive(ref, random.Random(seed), ref_order)
         ref.run()
         env = Environment()
-        self._drive(env, random.Random(seed), cal_order)
+        self._drive(self._EnvScheduler(env), random.Random(seed), cal_order)
         env.run()
         assert cal_order == ref_order
 
     @pytest.mark.parametrize("seed", range(4))
     def test_timeouts_and_calls_interleave_like_reference(self, seed):
-        """Same property with Timeout entries mixed among _Call entries
-        (timeouts traverse the pool/recycling machinery)."""
+        """Same property with callbacks appended directly to Timeout
+        entries mixed among adapter-scheduled ones (timeouts traverse
+        the pool/recycling machinery)."""
         import random
 
         def drive_env(env, rng, order):
+            scheduler = self._EnvScheduler(env)
             delays = [0.0, 1e-9, 1e-9, 2e-4, 7.0]
             counter = [0]
 
@@ -667,7 +684,8 @@ class TestCalendarHeapEquivalence:
                                 timeout = env.timeout(delay)
                                 timeout.callbacks.append(spawn(depth - 1))
                             else:
-                                env.call_after(delay, spawn(depth - 1))
+                                scheduler.call_after(delay,
+                                                     spawn(depth - 1))
 
                 return fire
 
