@@ -23,8 +23,6 @@ Bundle v2 adds two things on top of v1's tier features:
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -44,7 +42,7 @@ from repro.profiling.threads import (
     ThreadModelProfile,
 )
 from repro.runtime.metrics import ServiceMetrics
-from repro.util.errors import ArtifactIntegrityError, ConfigurationError
+from repro.util.errors import ConfigurationError
 from repro.util.stats import Histogram, OnlineStats
 from repro.validation import integrity
 
@@ -363,12 +361,14 @@ def save_bundle(
     if source_platform is not None:
         from repro.hw.platform import platform_to_dict
         document["source_platform"] = platform_to_dict(source_platform)
-    integrity.stamp_json(document)
-    path = Path(path)
-    scratch = Path(f"{path}.tmp-{os.getpid()}")
-    scratch.write_text(json.dumps(document, indent=1, sort_keys=True))
-    os.replace(scratch, path)
-    return path
+    return write_bundle_document(integrity.stamp_json(document), path)
+
+
+def write_bundle_document(document: dict, path) -> Path:
+    """Atomically write a stamped bundle or ``ditto-migration`` document
+    in :func:`~repro.validation.integrity.write_json`'s canonical form.
+    """
+    return Path(integrity.write_json(path, document))
 
 
 def read_bundle_document(path) -> dict:
@@ -380,17 +380,7 @@ def read_bundle_document(path) -> dict:
     bundle must never silently regenerate a wrong clone. v1 documents
     (written before stamping existed) carry no stanza and pass.
     """
-    text = Path(path).read_text()
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as error:
-        moved = integrity.quarantine_and_report(
-            str(path), schema=BUNDLE_FORMAT, reason="undecodable")
-        raise ArtifactIntegrityError(
-            f"{path}: bundle is not valid JSON ({error})"
-            + (f"; quarantined to {moved}" if moved else ""),
-            path=str(path), reason="undecodable",
-            quarantined_to=moved) from error
+    document = integrity.read_json(path, schema=BUNDLE_FORMAT)
     fmt = document.get("format")
     if fmt == BUNDLE_FORMAT:
         if document.get("version") not in range(1, BUNDLE_VERSION + 1):
@@ -404,15 +394,6 @@ def read_bundle_document(path) -> dict:
                 f"unsupported migration version {document.get('version')}")
     else:
         raise ConfigurationError(f"{path} is not a clone bundle")
-    try:
-        integrity.verify_json(document, path=str(path))
-    except ArtifactIntegrityError as error:
-        moved = integrity.quarantine_and_report(
-            str(path), schema=fmt, reason=error.reason)
-        raise ArtifactIntegrityError(
-            f"{error}" + (f"; quarantined to {moved}" if moved else ""),
-            path=str(path), reason=error.reason,
-            quarantined_to=moved) from error
     return document
 
 

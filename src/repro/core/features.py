@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instructions import iform
+from repro.loadgen.generator import LoadSpec
 from repro.profiling.artifacts import ServiceArtifacts
 from repro.profiling.branches import BranchProfile, profile_branches
 from repro.profiling.deps import (
@@ -66,6 +67,17 @@ class ServiceFeatures:
     observed_qps: float = 0.0
     observed_connections: int = 0
     observed_closed_loop: bool = False
+
+    def profiled_load(self) -> LoadSpec:
+        """The load this tier was profiled under, for stand-alone runs.
+
+        Closed-loop tiers saturate at their observed throughput (open
+        loop at that rate would sit on the hockey stick), so they stay
+        closed-loop.
+        """
+        if self.observed_closed_loop:
+            return LoadSpec.closed_loop(max(1, self.observed_connections))
+        return LoadSpec.open_loop(max(100.0, self.observed_qps))
 
     def instructions_per_request(self, handler: Optional[str] = None) -> float:
         """Target dynamic user instructions per request."""

@@ -178,13 +178,7 @@ def fine_tune(
     target = features.target_counters
     config = base_config if base_config is not None else GeneratorConfig()
     if load is None:
-        if features.observed_closed_loop:
-            # Closed-loop-profiled services saturate at their observed
-            # throughput; tuning open-loop at that rate would sit exactly
-            # on the hockey stick. Reuse the closed-loop discipline.
-            load = LoadSpec.closed_loop(max(1, features.observed_connections))
-        else:
-            load = LoadSpec.open_loop(max(100.0, features.observed_qps))
+        load = features.profiled_load()
     knobs = config.knobs
     history: List[float] = []
     best_knobs = knobs

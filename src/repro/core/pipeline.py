@@ -68,8 +68,7 @@ from repro.runtime.experiment import ExperimentConfig
 from repro.telemetry.context import current_session
 from repro.telemetry.session import Telemetry, WorkerTelemetry
 from repro.telemetry.spans import span
-from repro.util.errors import ArtifactIntegrityError, ConfigurationError, \
-    TierExecutionError
+from repro.util.errors import ConfigurationError, TierExecutionError
 from repro.util.rng import derive_seed
 from repro.util.spec_hash import stable_digest
 from repro.validation import integrity
@@ -266,8 +265,7 @@ class TierCheckpoint:
     :mod:`repro.validation.integrity`) written atomically. A corrupted
     or truncated file is **quarantined** to ``<name>.pkl.quarantined``
     and counted in telemetry, then treated as a miss — the tier simply
-    re-runs; it is never silently resumed from bad bytes. Files from
-    before the envelope format (or foreign files) are plain misses.
+    re-runs; it is never silently resumed from bad bytes.
     """
 
     #: schema name stamped into every checkpoint envelope
@@ -288,26 +286,14 @@ class TierCheckpoint:
     def load(self, task: TierTask) -> Optional[TierOutcome]:
         """The saved outcome for ``task``, or None on miss/corruption.
 
-        Corruption is never silent: a damaged checkpoint is moved to
-        ``<path>.quarantined`` (evidence for inspection), reported via
-        the ``ditto_artifact_quarantines_total`` telemetry counter, and
-        only then treated as a miss. Legacy pre-envelope pickles lack
-        the artifact magic and are quietly missed, not quarantined.
+        Corruption is never silent: a damaged or foreign file is moved
+        to ``<path>.quarantined`` (evidence for inspection), reported
+        via the ``ditto_artifact_quarantines_total`` telemetry counter,
+        and only then treated as a miss.
         """
-        path = self.path(task)
-        try:
-            with open(path, "rb") as handle:
-                prefix = handle.read(len(integrity.MAGIC))
-        except OSError:
-            return None
-        if prefix != integrity.MAGIC:
-            # Pre-envelope or foreign file: a miss, not corruption.
-            return None
-        try:
-            outcome = integrity.load_object(
-                path, schema=self.SCHEMA, max_version=self.SCHEMA_VERSION)
-        except ArtifactIntegrityError:
-            return None
+        outcome = integrity.load_or_miss(
+            self.path(task), schema=self.SCHEMA,
+            max_version=self.SCHEMA_VERSION)
         return outcome if isinstance(outcome, TierOutcome) else None
 
     def save(self, task: TierTask, outcome: TierOutcome) -> None:

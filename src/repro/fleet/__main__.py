@@ -71,7 +71,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.app.service import Deployment
 from repro.app.workloads import DEPLOYMENT_BUILDERS, WORKLOAD_BUILDERS
@@ -83,7 +83,7 @@ from repro.loadgen.generator import LoadSpec
 from repro.profiling.artifacts import ProfilingBudget
 from repro.runtime.experiment import ExperimentConfig
 from repro.util.errors import ReproError
-from repro.validation.gate import FidelityGate
+from repro.validation.gate import FidelityGate, tolerance_arg
 
 #: a deliberately small profiling budget for smoke runs (same shape the
 #: test suite uses) — clones stay deterministic, just coarser
@@ -109,21 +109,6 @@ def _build_deployment(name: str) -> Deployment:
     return Deployment.single(WORKLOAD_BUILDERS[name]())
 
 
-def _parse_tolerances(entries: List[str]) -> Dict[str, float]:
-    tolerances: Dict[str, float] = {}
-    for entry in entries:
-        name, _, value = entry.partition("=")
-        if not name or not value:
-            raise SystemExit(f"--tolerance takes METRIC=REL, got {entry!r}")
-        try:
-            tolerances[name] = float(value)
-        except ValueError:
-            raise SystemExit(
-                f"--tolerance value for {name!r} must be a number, "
-                f"got {value!r}") from None
-    return tolerances
-
-
 def _build_request(args: argparse.Namespace) -> CloneRequest:
     deployment = _build_deployment(args.workload)
     load = LoadSpec.open_loop(args.qps)
@@ -131,7 +116,7 @@ def _build_request(args: argparse.Namespace) -> CloneRequest:
                               duration_s=args.duration, seed=args.seed)
     validate: Optional[FidelityGate] = None
     if args.validate:
-        tolerances = _parse_tolerances(args.tolerance)
+        tolerances = dict(args.tolerance)
         # float values are taken as relative bounds by the gate
         validate = FidelityGate(tolerances=tolerances or None)
     return CloneRequest(
@@ -173,7 +158,7 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
         seed=args.seed,
         duration_s=args.duration,
         max_tune_iterations=args.max_tune_iterations,
-        tolerances=_parse_tolerances(args.tolerance) or None,
+        tolerances=dict(args.tolerance) or None,
         max_sim_events=args.max_sim_events,
         sim_deadline_s=args.sim_deadline,
     )
@@ -276,36 +261,10 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
+    from repro.telemetry.report import render_job
     client = FleetClient(args.store)
     record = client.get(args.job_id)
-    print(record.describe())
-    print(f"  spec digest: {record.spec_digest}")
-    print(f"  remediation attempts: {record.attempts}")
-    if record.crash_count:
-        print(f"  crashes survived: {record.crash_count}")
-    if record.result_digest:
-        print(f"  result digest: {record.result_digest}")
-    for edge in record.history:
-        reason = f"  ({edge.reason})" if edge.reason else ""
-        print(f"  {edge.from_state.value} -> {edge.to_state.value}{reason}")
-    if record.state is JobState.PUBLISHED or record.result_digest:
-        try:
-            result = client.result(args.job_id)
-        except (ReproError, FileNotFoundError):
-            return 0
-        print(f"  executor: {result.executor}; cache hits/misses "
-              f"{result.cache_stats.hits}/{result.cache_stats.misses}")
-        if result.remediation:
-            print("  remediation ladder:")
-            for rung, reason in enumerate(result.remediation, 1):
-                print(f"    {rung}. {reason}")
-        if result.fidelity is not None:
-            print(f"  fidelity: "
-                  f"{'PASS' if result.fidelity.get('passed') else 'FAIL'}")
-            from repro.validation.gate import FidelityReport
-            report = FidelityReport.from_dict(result.fidelity)
-            for line in report.summary().splitlines():
-                print(f"    {line}")
+    print("\n".join(render_job(client.store, record)))
     return 0
 
 
@@ -409,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--validate", action="store_true",
                         help="gate the clone through a FidelityGate")
     submit.add_argument("--tolerance", action="append", default=[],
-                        metavar="METRIC=REL")
+                        type=tolerance_arg, metavar="METRIC=REL")
     submit.add_argument("--tune-iterations", type=int, default=None)
     submit.add_argument("--no-finetune", action="store_true")
     submit.add_argument("--name", default="")
@@ -449,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "and the destination gate")
     migrate.add_argument("--max-tune-iterations", type=int, default=5)
     migrate.add_argument("--tolerance", action="append", default=[],
-                         metavar="METRIC=REL",
+                         type=tolerance_arg, metavar="METRIC=REL",
                          help="override the migration gate envelope")
     migrate.add_argument("--max-sim-events", type=int, default=None,
                          help="watchdog: events per simulation run")

@@ -24,13 +24,19 @@ One directory holds everything a fleet needs to survive a crash:
   fidelity/<digest>.jsonl  per-spec fidelity-drift history
 ```
 
-Every record/result/profile write goes through
-:mod:`repro.validation.integrity` envelopes — atomic replace, digest
-trailer, quarantine-on-corruption — so a killed worker can never leave
-a half-written record, and a corrupted one is moved aside (and counted)
-instead of being trusted. Profiles are keyed by the *spec* digest, not
-the job id: a second job with an identical spec reuses the first job's
-profiling session outright.
+Every artifact is written and read through
+:mod:`repro.validation.integrity`: records, results and profiles as
+digest-stamped envelopes, ``fleet.json`` and the fidelity artifact as
+canonical JSON, the epoch counter as raw bytes — all through one
+atomic writer (temp file, fsync, replace). A killed worker can never
+leave a half-written artifact, and a corrupted one is moved aside (and
+counted) instead of being trusted. Only the lease bypasses it: a claim
+needs ``link()`` for exclusive creation, and a heartbeat replaces the
+lease with a crashpoint between its write and its replace. Profiles
+are ordinary ``application-profile`` sessions
+(:func:`repro.profiling.collector.save_profile`) keyed by the *spec*
+digest, not the job id: a second job with an identical spec reuses the
+first job's profiling session outright.
 
 Leases make crash recovery explicit — and *fenced*. Every claim mints
 a monotonic per-job fencing epoch (persisted before the lease exists),
@@ -83,7 +89,12 @@ from repro.fleet.job import (
     MigrationJobSpec,
 )
 from repro.fleet.obs.flight import FlightRecorder
-from repro.profiling.collector import ApplicationProfile
+from repro.profiling.collector import (
+    PROFILE_SCHEMA,
+    PROFILE_VERSION,
+    ApplicationProfile,
+    save_profile,
+)
 from repro.telemetry.context import current_session
 from repro.telemetry.registry import MetricsRegistry
 from repro.util.errors import (
@@ -99,7 +110,6 @@ __all__ = ["JobStore"]
 #: envelope schemas (and their payload versions) the store writes
 RECORD_SCHEMA = "fleet-job-record"
 RESULT_SCHEMA = "fleet-job-result"
-PROFILE_SCHEMA = "fleet-profile"
 SCHEMA_VERSION = 1
 
 #: registry metric names the store accounts through
@@ -225,11 +235,9 @@ class JobStore:
         plain ``JobStore(root)`` writes nothing.
         """
         try:
-            with open(self.config_path, encoding="utf-8") as handle:
-                stored = json.load(handle)
-        except (OSError, ValueError):
-            stored = {}
-        if not isinstance(stored, dict):
+            stored = integrity.read_json(self.config_path,
+                                         schema="fleet-config")
+        except (OSError, ArtifactIntegrityError):
             stored = {}
         merged = dict(DEFAULT_STORE_CONFIG)
         merged.update({key: stored[key] for key in DEFAULT_STORE_CONFIG
@@ -261,10 +269,7 @@ class JobStore:
         if given and any(stored.get(key) != merged[key]
                          for key in DEFAULT_STORE_CONFIG):
             os.makedirs(self.root, exist_ok=True)
-            scratch = f"{self.config_path}.tmp-{os.getpid()}"
-            with open(scratch, "w", encoding="utf-8") as handle:
-                json.dump(merged, handle, indent=2, sort_keys=True)
-            os.replace(scratch, self.config_path)
+            integrity.write_json(self.config_path, merged)
 
     @property
     def flight_path(self) -> str:
@@ -456,10 +461,7 @@ class JobStore:
         except (OSError, ValueError):
             last = 0
         epoch = last + 1
-        scratch = f"{path}.tmp-{os.getpid()}"
-        with open(scratch, "w", encoding="utf-8") as handle:
-            handle.write(str(epoch))
-        os.replace(scratch, path)
+        integrity.write_atomic(path, str(epoch).encode("utf-8"))
         return epoch
 
     def release_lease(self, job_id: str, *,
@@ -666,16 +668,14 @@ class JobStore:
         """Persist a profiling session for every job sharing this spec."""
         path = self.profile_path(spec_digest)
         if not os.path.exists(path):
-            integrity.save_object(path, profile, schema=PROFILE_SCHEMA,
-                                  version=SCHEMA_VERSION)
+            save_profile(path, profile)
 
     def load_profile(self, spec_digest: str) -> Optional[ApplicationProfile]:
         """A stored profile for this spec, or None (miss/corruption)."""
-        try:
-            profile = integrity.load_object(self.profile_path(spec_digest),
-                                            schema=PROFILE_SCHEMA,
-                                            max_version=SCHEMA_VERSION)
-        except (FileNotFoundError, ArtifactIntegrityError):
+        profile = integrity.load_or_miss(self.profile_path(spec_digest),
+                                         schema=PROFILE_SCHEMA,
+                                         max_version=PROFILE_VERSION)
+        if profile is None:
             return None
         self._counters["profile_reuse"].inc()
         self._emit("profile_reused", digest=spec_digest[:32])
@@ -694,15 +694,13 @@ class JobStore:
         integrity.save_object(self.result_path(result.job_id), result,
                               schema=RESULT_SCHEMA, version=SCHEMA_VERSION)
         if result.fidelity is not None:
-            document = integrity.stamp_json({
-                "format": "ditto-fleet-fidelity/1",
-                "job_id": result.job_id,
-                "report": result.fidelity,
-            })
-            scratch = f"{self.fidelity_path(result.job_id)}.tmp-{os.getpid()}"
-            with open(scratch, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2, sort_keys=True)
-            os.replace(scratch, self.fidelity_path(result.job_id))
+            integrity.write_json(
+                self.fidelity_path(result.job_id),
+                integrity.stamp_json({
+                    "format": "ditto-fleet-fidelity/1",
+                    "job_id": result.job_id,
+                    "report": result.fidelity,
+                }))
             if result.spec_digest:
                 self._append_fidelity_history(result)
             self._record_fidelity_gauges(result.fidelity)

@@ -350,11 +350,11 @@ def _execute_migration(store: JobStore, record,
     publish. Migrations are cheap enough to re-run whole, so there are
     no checkpoints — determinism makes the re-run byte-identical.
     """
-    from repro.core.bundle import deployment_from_bundle
-    from repro.migrate.engine import (
-        migrate_request,
-        write_migration_document,
+    from repro.core.bundle import (
+        deployment_from_bundle,
+        write_bundle_document,
     )
+    from repro.migrate.engine import migrate_request
     job_id = record.job_id
     fence()
     if store.cancel_requested(job_id):
@@ -438,8 +438,7 @@ def _execute_migration(store: JobStore, record,
         fence()
         crashpoint("worker.migrate.publish.pre_write", job_id=job_id,
                    path=store.bundle_path(job_id))
-        write_migration_document(result.document,
-                                 store.bundle_path(job_id))
+        write_bundle_document(result.document, store.bundle_path(job_id))
         crashpoint("worker.migrate.publish.post_write", job_id=job_id,
                    path=store.bundle_path(job_id))
         job_result = JobResult(

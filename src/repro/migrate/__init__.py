@@ -14,7 +14,6 @@ from repro.migrate.engine import (
     MigrationResult,
     migrate_bundle,
     migrate_request,
-    write_migration_document,
 )
 from repro.migrate.preflight import (
     ObjectVerdict,
@@ -36,5 +35,4 @@ __all__ = [
     "migrate_bundle",
     "migrate_request",
     "run_preflight",
-    "write_migration_document",
 ]

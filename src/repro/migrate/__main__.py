@@ -18,9 +18,8 @@ can always upload the report artifact.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.hw.platform import load_platform_spec, platform_by_name
 from repro.migrate.engine import migrate_bundle
@@ -30,6 +29,8 @@ from repro.util.errors import (
     MigrationError,
     ReproError,
 )
+from repro.validation import integrity
+from repro.validation.gate import tolerance_arg
 
 EXIT_PUBLISHED = 0
 EXIT_REFUSED = 1
@@ -37,29 +38,10 @@ EXIT_PREFLIGHT = 2
 EXIT_ERROR = 3
 
 
-def _parse_tolerances(entries: List[str]) -> Dict[str, float]:
-    tolerances: Dict[str, float] = {}
-    for entry in entries:
-        name, _, value = entry.partition("=")
-        if not name or not value:
-            raise SystemExit(
-                f"--tolerance takes metric=value, got {entry!r}")
-        try:
-            tolerances[name] = float(value)
-        except ValueError:
-            raise SystemExit(
-                f"--tolerance value for {name!r} must be a number, "
-                f"got {value!r}") from None
-    return tolerances
-
-
 def _write_preflight(path: Optional[str],
                      report: Optional[PreflightReport]) -> None:
-    if not path or report is None:
-        return
-    with open(path, "w") as handle:
-        json.dump(report.to_dict(), handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    if path and report is not None:
+        integrity.write_json(path, report.to_dict())
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -97,7 +79,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="warm-started re-tune budget per tier "
                              "(default: 5)")
     parser.add_argument("--tolerance", action="append", default=[],
-                        metavar="METRIC=REL",
+                        type=tolerance_arg, metavar="METRIC=REL",
                         help="override a destination-gate relative "
                              "tolerance, e.g. ipc=0.1 (repeatable)")
     parser.add_argument("--max-sim-events", type=int, default=None,
@@ -130,7 +112,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             allow_degraded=options.allow_degraded,
             seed=options.seed, duration_s=options.duration,
             max_tune_iterations=options.max_tune_iterations,
-            tolerances=_parse_tolerances(options.tolerance),
+            tolerances=dict(options.tolerance),
             max_sim_events=options.max_sim_events,
             sim_deadline_s=options.sim_deadline,
         )

@@ -32,8 +32,6 @@ fidelity report, and the per-knob retune deltas.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
@@ -45,10 +43,10 @@ from repro.core.bundle import (
     bundle_source_platform,
     decode_features,
     read_bundle_document,
+    write_bundle_document,
 )
 from repro.core.finetune import KNOB_FOR_METRIC, _measure, fine_tune
 from repro.hw.platform import PlatformSpec, platform_to_dict
-from repro.loadgen.generator import LoadSpec
 from repro.migrate.preflight import PreflightReport, run_preflight
 from repro.migrate.request import MigrationRequest
 from repro.runtime.expcache import ExperimentCache
@@ -70,7 +68,6 @@ __all__ = [
     "MigrationResult",
     "migrate_bundle",
     "migrate_request",
-    "write_migration_document",
 ]
 
 #: gate/tune metric order (fixed so scoped subsets stay deterministic)
@@ -113,13 +110,6 @@ class MigrationResult:
     document: dict = field(default_factory=dict)
     #: where the artifact was written (None = caller kept it in memory)
     path: Optional[Path] = None
-
-
-def _tier_load(features) -> LoadSpec:
-    """The load discipline the tier was profiled (and tuned) under."""
-    if features.observed_closed_loop:
-        return LoadSpec.closed_loop(max(1, features.observed_connections))
-    return LoadSpec.open_loop(max(100.0, features.observed_qps))
 
 
 def _scoped_metrics(needed: List[str]) -> tuple:
@@ -214,7 +204,7 @@ def migrate_bundle(
                   metrics: tuple):
         return fine_tune(
             features[tier], config_for(run_seed),
-            load=_tier_load(features[tier]),
+            load=features[tier].profiled_load(),
             base_config=GeneratorConfig(
                 knobs=stored_knobs.get(tier, TuningKnobs())),
             max_iterations=budget, tolerance=tune_tolerance,
@@ -270,7 +260,7 @@ def migrate_bundle(
     def gate_tier(tier: str, run_seed: int) -> FidelityReport:
         measured, _spec = _measure(
             features[tier], GeneratorConfig(knobs=knobs[tier]),
-            config_for(run_seed), _tier_load(features[tier]),
+            config_for(run_seed), features[tier].profiled_load(),
             cache=cache)
         return gate.compare_counters(
             tier, features[tier].target_counters, measured,
@@ -370,26 +360,11 @@ def migrate_bundle(
     integrity.stamp_json(out_document)
     path = None
     if out_path is not None:
-        path = write_migration_document(out_document, out_path)
+        path = write_bundle_document(out_document, out_path)
     return MigrationResult(
         preflight=preflight, fidelity=fidelity, knobs=knobs,
         retune_deltas=deltas, tuning_iterations=iterations,
         remediation=remediation_log, document=out_document, path=path)
-
-
-def write_migration_document(document: dict, path) -> Path:
-    """Atomically write a stamped ``ditto-migration/1`` document.
-
-    Same bytes discipline as :func:`repro.core.bundle.save_bundle`
-    (sorted keys, ``indent=1``, tmp + ``os.replace``), so a crash
-    mid-publish leaves the previous artifact, never half of the new
-    one — and the same document always serialises to the same bytes.
-    """
-    path = Path(path)
-    scratch = Path(f"{path}.tmp-{os.getpid()}")
-    scratch.write_text(json.dumps(document, indent=1, sort_keys=True))
-    os.replace(scratch, path)
-    return path
 
 
 def _merge_reports(tier_reports: Dict[str, FidelityReport],

@@ -271,14 +271,11 @@ class SharedExperimentCache(ExperimentCache):
         # Lazy import: runtime/ must not depend on validation/ at module
         # load (validation's gate imports runtime for replay).
         from repro.validation import integrity
-        path = self._path(key)
-        try:
-            result = integrity.load_object(
-                path, schema=self.SCHEMA, max_version=self.SCHEMA_VERSION)
-        except FileNotFoundError:
-            return None
-        except integrity.ArtifactIntegrityError:
-            # Quarantined by the loader; behave as a miss and re-measure.
+        # Corrupt entries are quarantined by the loader: re-measure.
+        result = integrity.load_or_miss(
+            self._path(key), schema=self.SCHEMA,
+            max_version=self.SCHEMA_VERSION)
+        if result is None:
             return None
         self._shared_counters["disk_hits"].inc(1, cache=self.name)
         # Warm the in-memory tier so repeat lookups in this process stay

@@ -17,6 +17,11 @@ Inputs are detected per path:
   knob deltas and destination-gate table;
 - a fleet store *directory* → one section per job (state history,
   remediation ladder, fidelity verdict) plus the flight-log summary.
+
+Stamped documents (fidelity and migration artifacts) are read through
+:func:`repro.validation.integrity.read_json`: one whose stamp does not
+verify is quarantined, reported on stderr and exits **2** — never
+rendered.
 """
 
 from __future__ import annotations
@@ -24,22 +29,27 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 from typing import Dict, List, Optional
 
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import SpanRecord
+from repro.util.errors import ArtifactIntegrityError, ReproError
 
 __all__ = [
     "load_run",
     "main",
     "render_fidelity_artifact",
     "render_fleet_report",
+    "render_job",
     "render_migration_document",
     "render_report",
 ]
 
 #: how many metric series the "top metrics" section shows
 TOP_METRICS = 15
+#: format tag of the stamped per-job fidelity artifact a fleet publishes
+FLEET_FIDELITY_FORMAT = "ditto-fleet-fidelity/1"
 
 
 def load_run(path: str) -> dict:
@@ -228,6 +238,61 @@ def render_migration_document(doc: dict) -> str:
     return "\n".join(sections)
 
 
+#: stamped document formats and their renderers (see :func:`_render_any`)
+_STAMPED_RENDERERS = {
+    FLEET_FIDELITY_FORMAT: render_fidelity_artifact,
+    "ditto-migration": render_migration_document,
+}
+
+
+def render_job(store, record) -> List[str]:
+    """One fleet job: identity, state history, result and fidelity.
+
+    The single per-job renderer behind ``python -m repro.fleet show``
+    and :func:`render_fleet_report`. The fidelity table comes from the
+    job's stamped artifact, read through the integrity layer: a
+    tampered artifact raises
+    :class:`~repro.util.errors.ArtifactIntegrityError` instead of
+    rendering.
+    """
+    from repro.validation import integrity
+    from repro.validation.gate import FidelityReport
+
+    lines = [record.describe(),
+             f"  spec digest: {record.spec_digest}",
+             f"  remediation attempts: {record.attempts}"]
+    if record.crash_count:
+        lines.append(f"  crashes survived: {record.crash_count}")
+    if record.result_digest:
+        lines.append(f"  result digest: {record.result_digest}")
+    for edge in record.history:
+        reason = f"  ({edge.reason})" if edge.reason else ""
+        lines.append(f"  {edge.from_state.value} -> "
+                     f"{edge.to_state.value}{reason}")
+    try:
+        result = store.result(record.job_id) if record.result_digest \
+            else None
+    except (ReproError, FileNotFoundError):
+        result = None
+    if result is not None:
+        lines.append(f"  executor: {result.executor}; cache hits/misses "
+                     f"{result.cache_stats.hits}/"
+                     f"{result.cache_stats.misses}")
+        if result.remediation:
+            lines.append("  remediation ladder:")
+            lines.extend(f"    {rung}. {reason}" for rung, reason
+                         in enumerate(result.remediation, 1))
+    fidelity_path = store.fidelity_path(record.job_id)
+    if os.path.exists(fidelity_path):
+        artifact = integrity.read_json(fidelity_path,
+                                       schema=FLEET_FIDELITY_FORMAT)
+        report = FidelityReport.from_dict(artifact.get("report", {}))
+        lines.append(f"  fidelity: {'PASS' if report.passed else 'FAIL'}")
+        lines.extend("    " + line
+                     for line in report.summary().splitlines())
+    return lines
+
+
 def render_fleet_report(store_root: str) -> str:
     """One section per fleet job, plus the flight-log summary.
 
@@ -236,7 +301,6 @@ def render_fleet_report(store_root: str) -> str:
     """
     from repro.fleet.obs.flight import read_flight_log
     from repro.fleet.store import JobStore
-    from repro.validation.gate import FidelityReport
 
     store = JobStore(store_root, flight=False)
     sections = [f"fleet report — {store_root}"]
@@ -246,27 +310,7 @@ def render_fleet_report(store_root: str) -> str:
     for record in records:
         sections.append(f"\n== job {record.job_id} "
                         f"({record.state.value}) ==")
-        sections.append(record.spec.describe())
-        for edge in record.history:
-            reason = f"  ({edge.reason})" if edge.reason else ""
-            sections.append(f"  {edge.from_state.value} -> "
-                            f"{edge.to_state.value}{reason}")
-        if record.attempts:
-            sections.append(f"  remediation rungs climbed: "
-                            f"{record.attempts}")
-        if record.error:
-            sections.append(f"  error: {record.error}")
-        fidelity_path = store.fidelity_path(record.job_id)
-        if os.path.exists(fidelity_path):
-            try:
-                artifact = load_run(fidelity_path)
-                report = FidelityReport.from_dict(
-                    artifact.get("report", {}))
-            except (ValueError, KeyError, TypeError):
-                sections.append("  (fidelity artifact unreadable)")
-            else:
-                sections.extend("  " + line
-                                for line in report.summary().splitlines())
+        sections.extend(render_job(store, record))
     flight = read_flight_log(store.flight_path)
     if flight.events or flight.skipped:
         sections.append("\n== flight log ==")
@@ -284,11 +328,11 @@ def _render_any(path: str, prometheus: bool) -> None:
         print(render_fleet_report(path))
         return
     doc = load_run(path)
-    if doc.get("format") == "ditto-fleet-fidelity/1":
-        print(render_fidelity_artifact(doc))
-        return
-    if doc.get("format") == "ditto-migration":
-        print(render_migration_document(doc))
+    renderer = _STAMPED_RENDERERS.get(doc.get("format"))
+    if renderer is not None:
+        # Stamped artifacts render only once their stamp verifies.
+        from repro.validation import integrity
+        print(renderer(integrity.read_json(path, schema=doc["format"])))
         return
     print(render_report(doc))
     if prometheus:
@@ -314,7 +358,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     for index, path in enumerate(args.run):
         if index:
             print()
-        _render_any(path, args.prometheus)
+        try:
+            _render_any(path, args.prometheus)
+        except ArtifactIntegrityError as error:
+            print(f"integrity error: {error}", file=sys.stderr)
+            return 2
     return 0
 
 

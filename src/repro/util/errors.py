@@ -148,7 +148,7 @@ class ArtifactIntegrityError(ReproError):
     ``path`` is the offending file, ``reason`` a short code
     (``"truncated"``, ``"digest_mismatch"``, ``"bad_header"``,
     ``"undecodable"``), and ``quarantined_to`` where the file was moved
-    (empty when quarantining was disabled or impossible).
+    (empty when the file was left in place or could not be moved).
     """
 
     def __init__(self, message: str, *, path: str = "", reason: str = "",

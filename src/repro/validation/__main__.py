@@ -31,33 +31,10 @@ from repro.core.finetune import _strip_rpcs
 from repro.core.skeleton_gen import generate_skeleton
 from repro.core.body_gen import generate_program
 from repro.hw.platform import _PLATFORMS, platform_by_name
-from repro.loadgen.generator import LoadSpec
 from repro.runtime.experiment import ExperimentConfig, run_experiment
 from repro.util.errors import ArtifactIntegrityError, ReproError
-from repro.validation.gate import FidelityGate, FidelityReport, MetricTolerance
-
-
-def _parse_tolerances(entries: List[str]) -> Dict[str, float]:
-    tolerances: Dict[str, float] = {}
-    for entry in entries:
-        name, _, value = entry.partition("=")
-        if not name or not value:
-            raise SystemExit(
-                f"--tolerance takes metric=value, got {entry!r}")
-        try:
-            tolerances[name] = float(value)
-        except ValueError:
-            raise SystemExit(
-                f"--tolerance value for {name!r} must be a number, "
-                f"got {value!r}") from None
-    return tolerances
-
-
-def _tier_load(features) -> LoadSpec:
-    """The load discipline the tier was profiled (and tuned) under."""
-    if features.observed_closed_loop:
-        return LoadSpec.closed_loop(max(1, features.observed_connections))
-    return LoadSpec.open_loop(max(100.0, features.observed_qps))
+from repro.validation import integrity
+from repro.validation.gate import FidelityGate, FidelityReport, tolerance_arg
 
 
 def validate_bundle(
@@ -98,7 +75,7 @@ def validate_bundle(
             files=files,
         )
         result = run_experiment(
-            Deployment.single(spec), _tier_load(features),
+            Deployment.single(spec), features.profiled_load(),
             ExperimentConfig(platform=platform, duration_s=duration_s,
                              seed=seed))
         reports.append(gate.compare_counters(
@@ -121,7 +98,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--duration", type=float, default=1.0,
                         help="simulated seconds per tier (default: 1.0)")
     parser.add_argument("--tolerance", action="append", default=[],
-                        metavar="METRIC=REL",
+                        type=tolerance_arg, metavar="METRIC=REL",
                         help="override a relative tolerance, e.g. ipc=0.1 "
                              "(repeatable)")
     parser.add_argument("--json", dest="json_path", default=None,
@@ -136,7 +113,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             platform_name=options.platform,
             seed=options.seed,
             duration_s=options.duration,
-            tolerances=_parse_tolerances(options.tolerance),
+            tolerances=dict(options.tolerance),
         )
     except ArtifactIntegrityError as error:
         print(f"bundle integrity failure: {error}", file=sys.stderr)
@@ -159,9 +136,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "passed": passed,
             "tiers": [report.to_dict() for report in reports],
         }
-        with open(options.json_path, "w") as handle:
-            json.dump(document, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        integrity.write_json(options.json_path, document)
     print(f"{len(reports)} tier(s) gated on platform {options.platform}: "
           f"{'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1

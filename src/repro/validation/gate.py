@@ -27,6 +27,7 @@ Two comparison modes:
 
 from __future__ import annotations
 
+import argparse
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -43,6 +44,7 @@ __all__ = [
     "FidelityReport",
     "MetricCheck",
     "MetricTolerance",
+    "tolerance_arg",
 ]
 
 
@@ -64,6 +66,20 @@ class MetricTolerance:
         if self.relative < 0 or self.absolute < 0:
             raise ConfigurationError(
                 f"tolerances must be non-negative, got {self!r}")
+
+
+def tolerance_arg(entry: str) -> Tuple[str, float]:
+    """One ``--tolerance METRIC=REL`` value (an argparse ``type=``, so
+    a malformed entry is a usage error in every CLI).
+    """
+    name, _, value = entry.partition("=")
+    try:
+        if name:
+            return name, float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"takes METRIC=REL with a numeric REL, got {entry!r}")
 
 
 #: default per-metric tolerances (paper §6.2.1 error envelope, with

@@ -1,10 +1,11 @@
-"""Versioned, digest-stamped artifact persistence with quarantine.
+"""The one persistence path: atomic writes, verified reads, quarantine.
 
 Long clone runs survive on what they persist — tier checkpoints,
 profiling sessions, shareable bundles. A truncated or bit-flipped file
 must never be *silently* resumed from: a wrong ``TierOutcome`` poisons
-the assembled clone with no error anywhere. This module provides one
-envelope format for every binary artifact in the repo:
+the assembled clone with no error anywhere. Every store artifact in the
+repo is written and read through this module. Binary artifacts use one
+envelope format:
 
 ``DITTOART`` magic | format version | schema name | schema version |
 payload length | payload | SHA-256 digest trailer over everything
@@ -16,13 +17,15 @@ one was expected — is **quarantined**: atomically renamed to
 ``<name>.quarantined`` next to the original so the evidence survives
 for inspection while the bad path can never be loaded again, then
 reported via an :class:`~repro.util.errors.ArtifactIntegrityError`
-(and an ambient-telemetry counter when a session is active). Writes
-are atomic (temp file + ``os.replace``), so a crash mid-write leaves
-either the old artifact or none — never a half-written one.
+(and an ambient-telemetry counter when a session is active). Caches
+read through :func:`load_or_miss`, where any such failure is a miss.
 
-JSON artifacts (clone bundles) use the sibling
-:func:`stamp_json`/:func:`verify_json` pair: a canonical-JSON SHA-256
-digest embedded in the document itself.
+JSON artifacts (bundles, migration and fidelity documents) carry a
+:func:`stamp_json` canonical-JSON SHA-256 stanza; :func:`write_json`
+writes them in one canonical form and :func:`read_json` verifies them.
+Every write goes through :func:`write_atomic` (temp file, fsync,
+``os.replace``), so a crash mid-write leaves either the old artifact or
+none — never a half-written one.
 """
 
 from __future__ import annotations
@@ -40,13 +43,16 @@ from repro.util.errors import ArtifactIntegrityError
 __all__ = [
     "MAGIC",
     "load_object",
+    "load_or_miss",
     "quarantine",
-    "quarantine_and_report",
     "read_envelope",
+    "read_json",
     "save_object",
     "stamp_json",
     "verify_json",
+    "write_atomic",
     "write_envelope",
+    "write_json",
 ]
 
 #: file magic for digest-stamped binary artifacts
@@ -88,16 +94,27 @@ def quarantine(path: str) -> str:
     return target
 
 
-def quarantine_and_report(path: str, *, schema: str, reason: str) -> str:
-    """Quarantine ``path`` and count it in telemetry; returns new path.
-
-    For callers with their own on-disk formats (JSON bundles) that
-    detect corruption themselves but want the same quarantine +
-    accounting semantics as envelope reads.
-    """
+def _reject(path: str, schema: str, reason: str,
+            detail: str) -> ArtifactIntegrityError:
+    """Quarantine ``path``, count it, and build the error to raise."""
     moved = quarantine(path)
     _count_quarantine(schema, reason)
-    return moved
+    suffix = f"; quarantined to {moved}" if moved else ""
+    return ArtifactIntegrityError(
+        f"{path}: {detail}{suffix}", path=path, reason=reason,
+        quarantined_to=moved)
+
+
+def write_atomic(path, data: bytes) -> str:
+    """Write ``data`` to ``path`` via temp file + fsync + ``os.replace``."""
+    path = str(path)
+    scratch = f"{path}.tmp-{os.getpid()}"
+    with open(scratch, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(scratch, path)
+    return path
 
 
 def write_envelope(path: str, payload: bytes, *, schema: str,
@@ -105,71 +122,55 @@ def write_envelope(path: str, payload: bytes, *, schema: str,
     """Atomically write ``payload`` wrapped in a digest-stamped envelope."""
     name = schema.encode("utf-8")
     header = _HEADER.pack(MAGIC, ENVELOPE_VERSION, len(name), version,
-                          len(payload))
-    body = header + name + payload
-    digest = hashlib.sha256(body).digest()
-    scratch = f"{path}.tmp-{os.getpid()}"
-    with open(scratch, "wb") as handle:
-        handle.write(body)
-        handle.write(digest)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(scratch, path)
-    return path
+                          len(payload)) + name
+    digest = hashlib.sha256(header)
+    digest.update(payload)
+    # One join, so the payload is copied once on its way to disk.
+    return write_atomic(path, b"".join((header, payload, digest.digest())))
 
 
 def read_envelope(path: str, *, schema: str,
-                  max_version: Optional[int] = None,
-                  quarantine_bad: bool = True) -> Tuple[bytes, int]:
+                  max_version: Optional[int] = None) -> Tuple[bytes, int]:
     """Read and verify an envelope; returns ``(payload, schema_version)``.
 
     Raises :class:`ArtifactIntegrityError` on any defect. Files that
-    fail the digest or are structurally broken are quarantined first
-    (unless ``quarantine_bad`` is false); the error's
-    ``quarantined_to`` carries where the evidence went. A missing file
-    raises ``FileNotFoundError`` as usual — absence is a cache miss,
-    not corruption.
+    fail the digest or are structurally broken are quarantined first;
+    the error's ``quarantined_to`` carries where the evidence went. A
+    missing file raises ``FileNotFoundError`` as usual — absence is a
+    cache miss, not corruption.
     """
     with open(path, "rb") as handle:
         blob = handle.read()
-
-    def _bad(reason: str, detail: str) -> ArtifactIntegrityError:
-        moved = quarantine(path) if quarantine_bad else ""
-        _count_quarantine(schema, reason)
-        suffix = f"; quarantined to {moved}" if moved else ""
-        return ArtifactIntegrityError(
-            f"{path}: {detail}{suffix}", path=path, reason=reason,
-            quarantined_to=moved)
-
     if len(blob) < _HEADER.size or not blob.startswith(MAGIC):
-        raise _bad("bad_header", "not a digest-stamped artifact "
-                   f"(expected schema {schema!r})")
+        raise _reject(path, schema, "bad_header",
+                      "not a digest-stamped artifact "
+                      f"(expected schema {schema!r})")
     magic, env_version, name_len, version, payload_len = \
         _HEADER.unpack_from(blob)
     if env_version != ENVELOPE_VERSION:
-        raise _bad("bad_header",
-                   f"unsupported envelope version {env_version}")
+        raise _reject(path, schema, "bad_header",
+                      f"unsupported envelope version {env_version}")
     expected = _HEADER.size + name_len + payload_len + _DIGEST_BYTES
     if len(blob) < expected:
-        raise _bad("truncated",
-                   f"truncated artifact: {len(blob)} bytes on disk, "
-                   f"{expected} expected")
+        raise _reject(path, schema, "truncated",
+                      f"truncated artifact: {len(blob)} bytes on disk, "
+                      f"{expected} expected")
     if len(blob) > expected:
-        raise _bad("truncated",
-                   f"trailing garbage: {len(blob)} bytes on disk, "
-                   f"{expected} expected")
+        raise _reject(path, schema, "truncated",
+                      f"trailing garbage: {len(blob)} bytes on disk, "
+                      f"{expected} expected")
     body = blob[:_HEADER.size + name_len + payload_len]
     trailer = blob[-_DIGEST_BYTES:]
     if hashlib.sha256(body).digest() != trailer:
-        raise _bad("digest_mismatch",
-                   "digest trailer does not match content "
-                   f"(schema {schema!r})")
+        raise _reject(path, schema, "digest_mismatch",
+                      "digest trailer does not match content "
+                      f"(schema {schema!r})")
     found = blob[_HEADER.size:_HEADER.size + name_len].decode(
         "utf-8", errors="replace")
     if found != schema:
-        raise _bad("bad_header",
-                   f"schema mismatch: file holds {found!r}, "
-                   f"expected {schema!r}")
+        raise _reject(path, schema, "bad_header",
+                      f"schema mismatch: file holds {found!r}, "
+                      f"expected {schema!r}")
     if max_version is not None and version > max_version:
         # A future-versioned artifact is intact, just unreadable here —
         # leave it in place for the newer reader it was written for.
@@ -188,8 +189,7 @@ def save_object(path: str, obj: Any, *, schema: str,
 
 
 def load_object(path: str, *, schema: str,
-                max_version: Optional[int] = None,
-                quarantine_bad: bool = True) -> Any:
+                max_version: Optional[int] = None) -> Any:
     """Load a pickled envelope written by :func:`save_object`.
 
     The digest is verified *before* unpickling, so a corrupted file is
@@ -197,22 +197,28 @@ def load_object(path: str, *, schema: str,
     behind a valid digest (a foreign writer) is quarantined too.
     """
     payload, _ = read_envelope(path, schema=schema,
-                               max_version=max_version,
-                               quarantine_bad=quarantine_bad)
+                               max_version=max_version)
     try:
         return pickle.loads(payload)
     except Exception as error:  # noqa: BLE001 — any unpickle failure
-        moved = quarantine(path) if quarantine_bad else ""
-        _count_quarantine(schema, "undecodable")
-        suffix = f"; quarantined to {moved}" if moved else ""
-        raise ArtifactIntegrityError(
-            f"{path}: payload passed its digest but failed to decode "
-            f"({error}){suffix}", path=path, reason="undecodable",
-            quarantined_to=moved) from error
+        raise _reject(path, schema, "undecodable",
+                      f"payload passed its digest but failed to decode "
+                      f"({error})") from error
+
+
+def load_or_miss(path: str, *, schema: str,
+                 max_version: Optional[int] = None) -> Any:
+    """:func:`load_object`, or None when the file is absent, corrupt
+    (quarantined and counted first) or newer than ``max_version``.
+    """
+    try:
+        return load_object(path, schema=schema, max_version=max_version)
+    except (FileNotFoundError, ArtifactIntegrityError):
+        return None
 
 
 # --------------------------------------------------------------------- #
-# JSON documents (clone bundles)
+# JSON documents (bundles, migration and fidelity artifacts)
 # --------------------------------------------------------------------- #
 def _canonical_digest(document: dict) -> str:
     """SHA-256 over the canonical JSON form, integrity field excluded."""
@@ -231,20 +237,57 @@ def stamp_json(document: dict) -> dict:
     return document
 
 
-def verify_json(document: dict, *, path: str = "") -> None:
-    """Check a stamped document; raises :class:`ArtifactIntegrityError`.
-
-    Documents without an integrity stanza pass (pre-stamping writers);
-    a present-but-wrong stanza is corruption.
+def _stamp_defect(document: dict) -> Optional[Tuple[str, str]]:
+    """``(reason, detail)`` for a wrong stanza; unstamped documents
+    (pre-stamping writers) pass.
     """
     stanza = document.get("integrity")
     if stanza is None:
-        return
-    if stanza.get("algorithm") != "sha256-canonical-json":
-        raise ArtifactIntegrityError(
-            f"{path or 'document'}: unknown integrity algorithm "
-            f"{stanza.get('algorithm')!r}", path=path, reason="bad_header")
+        return None
+    algorithm = stanza.get("algorithm") if isinstance(stanza, dict) \
+        else None
+    if algorithm != "sha256-canonical-json":
+        return "bad_header", f"unknown integrity algorithm {algorithm!r}"
     if stanza.get("digest") != _canonical_digest(document):
-        raise ArtifactIntegrityError(
-            f"{path or 'document'}: embedded digest does not match "
-            f"content", path=path, reason="digest_mismatch")
+        return "digest_mismatch", "embedded digest does not match content"
+    return None
+
+
+def verify_json(document: dict, *, path: str = "") -> None:
+    """Check a stamped document; raises :class:`ArtifactIntegrityError`."""
+    defect = _stamp_defect(document)
+    if defect is not None:
+        reason, detail = defect
+        raise ArtifactIntegrityError(f"{path or 'document'}: {detail}",
+                                     path=path, reason=reason)
+
+
+def write_json(path, document: dict) -> str:
+    """Atomically write ``document`` in the one canonical form (sorted
+    keys, ``indent=1``): the same document always has the same bytes.
+    """
+    text = json.dumps(document, indent=1, sort_keys=True)
+    return write_atomic(path, text.encode("utf-8"))
+
+
+def read_json(path, *, schema: str) -> dict:
+    """Parse a JSON artifact and verify its stamp; returns the document.
+
+    An unparsable, non-object or wrongly stamped file is quarantined,
+    counted under ``schema`` and raised as
+    :class:`ArtifactIntegrityError`.
+    """
+    path = str(path)
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    try:
+        document = json.loads(blob)
+    except ValueError as error:
+        raise _reject(path, schema, "undecodable",
+                      f"not valid JSON ({error})") from error
+    if not isinstance(document, dict):
+        raise _reject(path, schema, "undecodable", "not a JSON object")
+    defect = _stamp_defect(document)
+    if defect is not None:
+        raise _reject(path, schema, *defect)
+    return document

@@ -1,5 +1,6 @@
 """Tests for shareable clone bundles (serialise -> share -> regenerate)."""
 
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,15 @@ class TestRoundTrip:
         document = json.loads(bundle_path.read_text())
         assert document["format"] == "ditto-clone-bundle"
         assert "memcached" in document["tiers"]
+
+    def test_bundle_bytes_pinned(self, bundle_path):
+        # One canonical form (indent=1, sorted keys, no trailing
+        # newline): any writer change that moves a byte breaks every
+        # published bundle digest.
+        blob = bundle_path.read_bytes()
+        assert len(blob) == 7816
+        assert hashlib.sha256(blob).hexdigest() == (
+            "0ea1a4265dcc270148850f9cdf99a7c0c308f57b7fb133e22f7536045a476ef1")
 
     def test_load_bundle(self, bundle_path):
         features, entry, placements = load_bundle(bundle_path)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.app.service import Deployment
-from repro.app.workloads import build_memcached, social_network_deployment
+from repro.app.workloads import social_network_deployment
 from repro.core import (
     DEFAULT_MAX_TUNE_ITERATIONS,
     CloneResult,
@@ -121,15 +120,6 @@ class TestCloneResultApi:
         assert report is result.report
         assert isinstance(result, CloneResult)
         assert isinstance(report, CloneReport)
-
-    def test_legacy_positional_clone_warns_but_works(self):
-        deployment = Deployment.single(build_memcached())
-        cloner = DittoCloner(fine_tune_tiers=False, budget=FAST_BUDGET)
-        with pytest.warns(DeprecationWarning, match="CloneRequest"):
-            result = cloner.clone(deployment, LoadSpec.open_loop(100000),
-                                  SOCIALNET_CONFIG)
-        assert isinstance(result, CloneResult)
-        assert result.report.executor == "serial"  # single tier
 
 
 class TestConstructionValidation:

@@ -172,10 +172,9 @@ class TestClonerIntegration:
         assert cloner._effective(_request()) is cloner
 
     def test_clone_rejects_request_plus_positionals(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             DittoCloner().clone(_request(), LOAD)
 
-    def test_legacy_positional_requires_all_three(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                DittoCloner().clone(_deployment(), LOAD)
+    def test_clone_rejects_non_request(self):
+        with pytest.raises(ConfigurationError, match="CloneRequest"):
+            DittoCloner().clone(_deployment())

@@ -478,6 +478,42 @@ class TestObservabilityCli:
         out = capsys.readouterr().out
         assert f"fleet fidelity artifact — job {job_id}" in out
 
+    def test_report_cli_refuses_tampered_fidelity_artifact(self, tmp_path,
+                                                           capsys):
+        # A stamped fidelity document edited after publication must not
+        # render — not from the file, the store report or ``show``.
+        from repro.telemetry.report import main as report_main
+        from repro.validation import integrity
+        from repro.validation.gate import FidelityReport
+        store = JobStore(str(tmp_path / "store"))
+        job_id = FleetClient(store).submit(_request()).job_id
+        artifact = store.fidelity_path(job_id)
+
+        def publish_then_tamper():
+            document = integrity.stamp_json({
+                "format": "ditto-fleet-fidelity/1", "job_id": job_id,
+                "report": FidelityReport(label="memcached").to_dict()})
+            document["report"]["label"] = "edited after stamping"
+            with open(artifact, "w", encoding="utf-8") as handle:
+                json.dump(document, handle)
+
+        publish_then_tamper()
+        assert report_main([artifact]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "integrity error" in captured.err
+        assert os.path.exists(artifact + ".quarantined")
+
+        publish_then_tamper()
+        assert report_main([store.root]) == 2
+        assert "digest does not match" in capsys.readouterr().err
+
+        publish_then_tamper()
+        assert fleet_main(["show", "--store", store.root, job_id]) == 1
+        captured = capsys.readouterr()
+        assert "fidelity: PASS" not in captured.out
+        assert "digest does not match" in captured.err
+
 
 # --------------------------------------------------------------------- #
 # determinism: observability must not move a single output bit

@@ -253,8 +253,8 @@ class TestDigestEquivalence:
             REFERENCE_DIGESTS["gateway_fault_timeline"]
 
     def test_clone_probe_digest_unchanged(self):
-        from repro import (Deployment, DittoCloner, ExperimentConfig,
-                           LoadSpec, build_memcached)
+        from repro import (CloneRequest, Deployment, DittoCloner,
+                           ExperimentConfig, LoadSpec, build_memcached)
         from repro.hw import PLATFORM_A
         from repro.loadgen import LoadSpec
         from repro.profiling import ProfilingBudget
@@ -265,10 +265,11 @@ class TestDigestEquivalence:
             budget=ProfilingBudget(sampled_requests=8,
                                    profile_duration_s=0.015),
             executor="serial")
-        clone = cloner.clone(
-            Deployment.single(build_memcached()),
-            LoadSpec.open_loop(100_000),
-            ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=5))
+        clone = cloner.clone(CloneRequest(
+            deployment=Deployment.single(build_memcached()),
+            load=LoadSpec.open_loop(100_000),
+            config=ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
+                                    seed=5)))
         probe = run_experiment(
             clone.synthetic, LoadSpec.open_loop(50_000),
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.01, seed=7))

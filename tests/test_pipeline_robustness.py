@@ -308,16 +308,18 @@ class TestCheckpointIntegrity:
         assert ckpt.load(victim) is None
         assert os.path.exists(path + ".quarantined")
 
-    def test_legacy_plain_pickle_is_quiet_miss(self, tier_tasks, tmp_path):
-        # Pre-envelope checkpoints (or foreign files) lack the artifact
-        # magic: they miss without being quarantined as corruption.
+    def test_legacy_plain_pickle_is_quarantined_miss(self, tier_tasks,
+                                                     tmp_path):
+        # Pre-envelope checkpoints (or foreign files) at a
+        # content-addressed path are corruption like any other: the
+        # tier re-runs and the file is kept aside as evidence.
         ckpt = TierCheckpoint(str(tmp_path / "ckpt"))
         path = ckpt.path(tier_tasks[0])
         with open(path, "wb") as handle:
             handle.write(b"\x80\x04legacy pickle bytes")
         assert ckpt.load(tier_tasks[0]) is None
-        assert os.path.exists(path)
-        assert not os.path.exists(path + ".quarantined")
+        assert not os.path.exists(path)
+        assert os.path.exists(path + ".quarantined")
 
     def test_checkpoint_write_is_atomic(self, tier_tasks, tmp_path):
         ckpt = TierCheckpoint(str(tmp_path / "ckpt"))

@@ -259,3 +259,26 @@ class TestValidationCLI:
         code = validation_main([str(bundle), "--duration", "0.2",
                                 "--tolerance", "ipc=1e-12", "--quiet"])
         assert code == 1
+
+    @pytest.mark.parametrize("entry", ["ipc", "ipc=x", "=0.1"])
+    @pytest.mark.parametrize("cli", ["validation", "migrate", "fleet"])
+    def test_malformed_tolerance_is_usage_error(self, cli, entry,
+                                                tmp_path, capsys):
+        # Every CLI taking --tolerance shares one parser: a malformed
+        # entry stops at argument parsing with argparse's usage error.
+        from repro.fleet.__main__ import main as fleet_main
+        from repro.migrate.__main__ import main as migrate_main
+        bundle = str(tmp_path / "never-read.json")
+        clis = {
+            "validation": (validation_main, [bundle]),
+            "migrate": (migrate_main, [bundle, "--destination", "B"]),
+            "fleet": (fleet_main, ["submit", "--store", str(tmp_path),
+                                   "--workload", "memcached"]),
+        }
+        main, args = clis[cli]
+        with pytest.raises(SystemExit) as excinfo:
+            main(args + ["--tolerance", entry])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--tolerance" in err and "METRIC=REL" in err

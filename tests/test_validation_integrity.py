@@ -1,5 +1,6 @@
 """Artifact-integrity envelope: digests, quarantine, atomic writes."""
 
+import json
 import os
 import pickle
 
@@ -102,15 +103,6 @@ class TestCorruptionDetection:
         assert os.path.exists(path)
         assert not os.path.exists(path + ".quarantined")
 
-    def test_quarantine_can_be_disabled(self, path):
-        self._write(path)
-        with open(path, "ab") as handle:
-            handle.write(b"junk")
-        with pytest.raises(ArtifactIntegrityError):
-            integrity.read_envelope(path, schema="demo",
-                                    quarantine_bad=False)
-        assert os.path.exists(path)
-
     def test_valid_digest_bad_pickle_quarantined(self, path):
         # A digest-valid envelope whose payload is not a pickle: the
         # digest passes, unpickling fails, and the file must still be
@@ -171,3 +163,74 @@ class TestJsonStamping:
         document["integrity"]["algorithm"] = "crc32"
         with pytest.raises(ArtifactIntegrityError):
             integrity.verify_json(document)
+
+
+class TestJsonFiles:
+    def test_round_trip_is_canonical(self, tmp_path):
+        path = tmp_path / "doc.json"
+        document = integrity.stamp_json({"format": "demo", "b": [1, 2],
+                                         "a": {"y": 1, "x": 2}})
+        integrity.write_json(path, document)
+        assert path.read_text() == json.dumps(document, indent=1,
+                                              sort_keys=True)
+        assert integrity.read_json(path, schema="demo") == document
+
+    def test_no_scratch_left(self, tmp_path):
+        integrity.write_json(tmp_path / "doc.json", {"v": 1})
+        assert sorted(os.listdir(tmp_path)) == ["doc.json"]
+
+    def test_undecodable_document_quarantined(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"format": "demo", "tiers": ')
+        with pytest.raises(ArtifactIntegrityError) as excinfo:
+            integrity.read_json(path, schema="demo")
+        assert excinfo.value.reason == "undecodable"
+        assert not path.exists()
+        assert excinfo.value.quarantined_to == f"{path}.quarantined"
+        assert os.path.exists(excinfo.value.quarantined_to)
+
+    def test_tampered_document_quarantined_and_counted(self, tmp_path):
+        path = tmp_path / "doc.json"
+        integrity.write_json(path, integrity.stamp_json({"label": "a"}))
+        path.write_text(path.read_text().replace('"a"', '"b"'))
+        session = Telemetry()
+        session.activate()
+        try:
+            with pytest.raises(ArtifactIntegrityError) as excinfo:
+                integrity.read_json(path, schema="demo")
+            metric = session.registry.get("ditto_artifact_quarantines_total")
+            assert metric.value(schema="demo",
+                                reason="digest_mismatch") == 1
+        finally:
+            session.deactivate()
+        assert excinfo.value.reason == "digest_mismatch"
+        assert os.path.exists(f"{path}.quarantined")
+
+    def test_missing_file_is_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            integrity.read_json(tmp_path / "absent.json", schema="demo")
+
+
+class TestLoadOrMiss:
+    def test_hit(self, path):
+        integrity.save_object(path, [1, 2], schema="demo")
+        assert integrity.load_or_miss(path, schema="demo") == [1, 2]
+
+    def test_absent_is_miss(self, path):
+        assert integrity.load_or_miss(path, schema="demo") is None
+        assert not os.path.exists(path + ".quarantined")
+
+    def test_corrupt_is_quarantined_miss(self, path):
+        integrity.save_object(path, [1, 2], schema="demo")
+        with open(path, "ab") as handle:
+            handle.write(b"junk")
+        assert integrity.load_or_miss(path, schema="demo") is None
+        assert not os.path.exists(path)
+        assert os.path.exists(path + ".quarantined")
+
+    def test_future_version_is_miss_left_in_place(self, path):
+        integrity.save_object(path, [1, 2], schema="demo", version=9)
+        assert integrity.load_or_miss(path, schema="demo",
+                                      max_version=1) is None
+        assert os.path.exists(path)
+        assert not os.path.exists(path + ".quarantined")
