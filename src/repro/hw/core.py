@@ -124,8 +124,8 @@ class BlockTiming:
         return self.instructions / self.cycles
 
     def __add__(self, other: "BlockTiming") -> "BlockTiming":
-        # Hot path (one per block-pricing event): bypass the 15-keyword
-        # dataclass __init__; the field sums are identical.
+        # Bypasses the 15-keyword dataclass __init__; the field sums are
+        # identical. :meth:`accumulate` must keep doing exactly these sums.
         result = BlockTiming.__new__(BlockTiming)
         result.__dict__ = {
             "cycles": self.cycles + other.cycles,
@@ -148,25 +148,30 @@ class BlockTiming:
         }
         return result
 
-    def scaled(self, factor: float) -> "BlockTiming":
-        """Every additive quantity multiplied by ``factor``."""
-        return BlockTiming(
-            cycles=self.cycles * factor,
-            instructions=self.instructions * factor,
-            uops=self.uops * factor,
-            branches=self.branches * factor,
-            branch_mispredictions=self.branch_mispredictions * factor,
-            l1i_accesses=self.l1i_accesses * factor,
-            l1i_misses=self.l1i_misses * factor,
-            l1d_accesses=self.l1d_accesses * factor,
-            l1d_misses=self.l1d_misses * factor,
-            l2_accesses=self.l2_accesses * factor,
-            l2_misses=self.l2_misses * factor,
-            llc_accesses=self.llc_accesses * factor,
-            llc_misses=self.llc_misses * factor,
-            memory_bytes=self.memory_bytes * factor,
-            topdown=self.topdown.scaled(factor),
-        )
+    def accumulate(self, other: "BlockTiming") -> None:
+        """Add ``other`` into this timing in place.
+
+        Every field gets the same float addition as in ``self + other``,
+        so a running total folded with this method equals the
+        ``__add__`` fold bit for bit. The caller must own this timing and
+        its ``topdown`` (never a memoised pricing, whose breakdown may be
+        shared).
+        """
+        self.cycles += other.cycles
+        self.instructions += other.instructions
+        self.uops += other.uops
+        self.branches += other.branches
+        self.branch_mispredictions += other.branch_mispredictions
+        self.l1i_accesses += other.l1i_accesses
+        self.l1i_misses += other.l1i_misses
+        self.l1d_accesses += other.l1d_accesses
+        self.l1d_misses += other.l1d_misses
+        self.l2_accesses += other.l2_accesses
+        self.l2_misses += other.l2_misses
+        self.llc_accesses += other.llc_accesses
+        self.llc_misses += other.llc_misses
+        self.memory_bytes += other.memory_bytes
+        self.topdown.accumulate(other.topdown)
 
 
 class CoreModel:
@@ -181,78 +186,26 @@ class CoreModel:
         self.ctx = ctx
 
     # ------------------------------------------------------------------ #
-    # compute-bound components
-    # ------------------------------------------------------------------ #
-    def _port_uops(self, block: BlockSpec) -> Dict[PortGroup, float]:
-        totals: Dict[PortGroup, float] = {}
-        for name, count in block.iform_counts.items():
-            form = iform(name)
-            for group, uops in form.port_uops.items():
-                totals[group] = totals.get(group, 0.0) + uops * count
-            if form.is_rep:
-                extra = form.rep_uops_per_element * block.rep_elements * count
-                totals[PortGroup.STRING] = totals.get(PortGroup.STRING, 0.0) + extra
-        return totals
-
-    def _compute_cycles(
-        self, block: BlockSpec, port_uops: Dict[PortGroup, float]
-    ) -> tuple[float, float]:
-        """Return (compute_cycles, total_uops) for one iteration."""
-        uarch = self.ctx.uarch
-        total_uops = sum(port_uops.values())
-        issue_cycles = total_uops / uarch.issue_width
-        port_cycles = 0.0
-        for group, uops in port_uops.items():
-            cycles = uarch.group(group).cycles_for(uops)
-            port_cycles = max(port_cycles, cycles)
-        # SMT sibling competes for the same issue ports.
-        port_cycles *= self.ctx.smt_contention
-        # Dependency-chain (ILP) bound: with mean RAW distance d, the
-        # stream decomposes into ~d independent chains of n/d hops with
-        # the mix's average producing latency per hop.
-        instructions = block.instructions_per_iteration
-        dep_cycles = 0.0
-        if instructions > 0:
-            weighted_latency = 0.0
-            for name, count in block.iform_counts.items():
-                weighted_latency += iform(name).latency * count
-            avg_latency = max(0.5, weighted_latency / instructions)
-            distance = max(1.0, block.deps.mean_raw_distance())
-            chain_parallelism = min(distance, float(uarch.issue_width) * 2.0)
-            dep_cycles = instructions * avg_latency / chain_parallelism
-        return max(issue_cycles, port_cycles, dep_cycles), total_uops
-
-    # ------------------------------------------------------------------ #
     # memory subsystem
     # ------------------------------------------------------------------ #
-    def _memory_mlp(self, block: BlockSpec, spec: MemAccessSpec) -> float:
-        """Achievable memory-level parallelism for ``spec``'s misses."""
-        uarch = self.ctx.uarch
-        if spec.pattern is MemPattern.POINTER_CHASE:
-            return 1.0
-        chase = block.deps.pointer_chase_frac
-        mshr = float(uarch.mshr_count)
-        # Harmonic blend: chasing fraction is serialised at MLP=1, the rest
-        # enjoys the full miss-handling capacity.
-        return 1.0 / (chase / 1.0 + (1.0 - chase) / mshr)
-
     def _memory_component(
-        self, block: BlockSpec, timing: BlockTiming
+        self, terms: BlockTerms, counts: Dict[str, float]
     ) -> float:
         caches = self.ctx.caches
         stall = 0.0
+        l1d_bytes = caches.l1d.size_bytes
+        l2_bytes = caches.l2.size_bytes
+        llc_bytes = caches.llc.size_bytes
         lat_l1 = caches.l1d.latency_cycles
         lat_l2 = caches.l2.latency_cycles
         lat_llc = caches.llc.latency_cycles
         lat_mem = caches.memory_latency_cycles
-        other_threads = max(0, self.ctx.active_threads - 1)
-        for spec in block.mem:
-            accesses = spec.accesses
-            if accesses <= 0:
-                continue
-            m1 = miss_fraction(spec, caches.l1d.size_bytes)
-            m2 = miss_fraction(spec, caches.l2.size_bytes)
-            m3 = miss_fraction(spec, caches.llc.size_bytes)
+        coherence = min(1.0, max(0, self.ctx.active_threads - 1))
+        not_prefetched = 1.0 - self.ctx.prefetch_coverage
+        for accesses, spec, mlp, regular, shared_writes in terms.mem:
+            m1 = miss_fraction(spec, l1d_bytes)
+            m2 = miss_fraction(spec, l2_bytes)
+            m3 = miss_fraction(spec, llc_bytes)
             # The hierarchy filters: fraction of accesses resolving at each
             # level (m2/m3 conditional on having missed inward levels).
             f_l2 = m1 * (1.0 - m2) if m1 > 0 else 0.0
@@ -260,58 +213,47 @@ class CoreModel:
             f_mem = m1 * m2 * m3
             # Coherence misses: shared lines invalidated by other threads'
             # writes surface as extra L1d misses served from the LLC.
-            coh_rate = spec.shared_frac * spec.write_frac * min(1.0, other_threads)
+            coh_rate = shared_writes * coherence
             extra_latency = (
                 f_l2 * (lat_l2 - lat_l1)
                 + f_llc * (lat_llc - lat_l1)
                 + f_mem * (lat_mem - lat_l1)
                 + coh_rate * (lat_llc - lat_l1)
             )
-            if spec.is_regular:
-                extra_latency *= 1.0 - self.ctx.prefetch_coverage
-            mlp = self._memory_mlp(block, spec)
+            if regular:
+                extra_latency *= not_prefetched
             stall += accesses * extra_latency / mlp
             # Counters.
-            timing.l1d_accesses += accesses
-            timing.l1d_misses += accesses * (m1 + coh_rate)
-            timing.l2_accesses += accesses * m1
-            timing.l2_misses += accesses * m1 * m2
-            timing.llc_accesses += accesses * (m1 * m2 + coh_rate)
-            timing.llc_misses += accesses * m1 * m2 * m3
-            timing.memory_bytes += accesses * m1 * m2 * m3 * LINE_BYTES
+            counts["l1d_accesses"] += accesses
+            counts["l1d_misses"] += accesses * (m1 + coh_rate)
+            counts["l2_accesses"] += accesses * m1
+            counts["l2_misses"] += accesses * m1 * m2
+            counts["llc_accesses"] += accesses * (m1 * m2 + coh_rate)
+            counts["llc_misses"] += accesses * m1 * m2 * m3
+            counts["memory_bytes"] += accesses * m1 * m2 * m3 * LINE_BYTES
         return stall
 
     # ------------------------------------------------------------------ #
     # frontend / instruction side
     # ------------------------------------------------------------------ #
     def _frontend_component(
-        self, block: BlockSpec, timing: BlockTiming
+        self, terms: BlockTerms, counts: Dict[str, float]
     ) -> float:
-        caches = self.ctx.caches
-        code_bytes = float(block.static_code_bytes())
-        if code_bytes <= 0:
+        loop_spec = terms.loop_spec
+        if loop_spec is None:
             return 0.0
-        instructions = block.instructions_per_iteration
-        # Lines actually fetched per loop pass: instructions lay out
-        # densely (4B each, 16 per line), so a pass touches at most
-        # instructions/16 lines, capped by the block footprint.
-        lines = max(1.0, min(code_bytes, 4.0 * max(1.0, instructions))
-                    / LINE_BYTES)
-        iterations = max(1.0, block.iterations)
+        caches = self.ctx.caches
+        lines = terms.fetch_lines
         # Two reuse regimes: the first pass of a visit re-fetches lines
         # last seen one full visit ago (block + everything run in
-        # between); subsequent loop passes re-fetch with the block body
-        # itself as the reuse distance.
+        # between); subsequent loop passes re-fetch the block body.
         first_spec = MemAccessSpec(
-            wset_bytes=max(64, int(code_bytes + self.ctx.code_reuse_bytes)),
+            wset_bytes=max(64, int(terms.code_bytes
+                                   + self.ctx.code_reuse_bytes)),
             accesses=lines, pattern=MemPattern.SEQUENTIAL,
         )
-        loop_spec = MemAccessSpec(
-            wset_bytes=max(64, int(code_bytes)), accesses=lines,
-            pattern=MemPattern.SEQUENTIAL,
-        )
-        first_weight = 1.0 / iterations
-        loop_weight = (iterations - 1.0) / iterations
+        first_weight = terms.first_weight
+        loop_weight = terms.loop_weight
 
         def blended(cache_bytes: float) -> float:
             return (miss_fraction(first_spec, cache_bytes) * first_weight
@@ -333,21 +275,20 @@ class CoreModel:
             + lines * (m2 - m3) * lat_llc
             + lines * m3 * lat_mem
         ) * self.FETCH_OVERLAP
-        timing.l1i_accesses += max(1.0, instructions * 4.0 / self.FETCH_BYTES)
-        timing.l1i_misses += miss_l1
-        timing.l2_accesses += miss_l1
-        timing.l2_misses += miss_l2
-        timing.llc_accesses += miss_l2
-        timing.llc_misses += miss_llc
-        timing.memory_bytes += miss_llc * LINE_BYTES
-        # Decode-width bound adds to frontend pressure for dense blocks.
+        counts["l1i_accesses"] += terms.l1i_accesses
+        counts["l1i_misses"] += miss_l1
+        counts["l2_accesses"] += miss_l1
+        counts["l2_misses"] += miss_l2
+        counts["llc_accesses"] += miss_l2
+        counts["llc_misses"] += miss_llc
+        counts["memory_bytes"] += miss_llc * LINE_BYTES
         return stall
 
     # ------------------------------------------------------------------ #
     # branches
     # ------------------------------------------------------------------ #
     def _branch_component(
-        self, block: BlockSpec, timing: BlockTiming
+        self, block: BlockSpec, counts: Dict[str, float]
     ) -> float:
         predictor = self.ctx.predictor()
         penalty = self.ctx.uarch.mispredict_penalty
@@ -358,40 +299,163 @@ class CoreModel:
                 continue
             rate = predictor.rate_for(spec, alias_pressure=pressure)
             misses = spec.executions * rate
-            timing.branches += spec.executions
-            timing.branch_mispredictions += misses
+            counts["branches"] += spec.executions
+            counts["branch_mispredictions"] += misses
             stall += misses * penalty
         return stall
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def time_block(self, block: BlockSpec) -> BlockTiming:
-        """Price all iterations of ``block`` under this context."""
-        timing = BlockTiming()
-        port_uops = self._port_uops(block)
-        compute_cycles, total_uops = self._compute_cycles(block, port_uops)
-        mem_stall = self._memory_component(block, timing)
-        fe_stall = self._frontend_component(block, timing)
-        bs_stall = self._branch_component(block, timing)
+    def time_block(
+        self, block: BlockSpec, terms: Optional[BlockTerms] = None
+    ) -> BlockTiming:
+        """Price all iterations of ``block`` under this context.
+
+        ``terms`` are ``BlockTerms(block, uarch)`` for this context's
+        uarch, computed here when not given.
+        """
+        ctx = self.ctx
+        width = ctx.uarch.issue_width
+        if terms is None:
+            terms = BlockTerms(block, ctx.uarch)
+        counts = dict.fromkeys(_COUNTERS, 0.0)
+        total_uops = terms.total_uops
+        # SMT sibling competes for the same issue ports.
+        compute_cycles = max(terms.issue_cycles,
+                             terms.port_cycles * ctx.smt_contention,
+                             terms.dep_cycles)
+        mem_stall = self._memory_component(terms, counts)
+        fe_stall = self._frontend_component(terms, counts)
+        bs_stall = self._branch_component(block, counts)
         cycles_per_iter = compute_cycles + mem_stall + fe_stall + bs_stall
-        instructions = block.instructions_per_iteration
-        timing.instructions = instructions
-        timing.uops = total_uops
-        timing.cycles = max(cycles_per_iter, total_uops / self.ctx.uarch.issue_width)
-        width = self.ctx.uarch.issue_width
-        total_slots = timing.cycles * width
+        cycles = max(cycles_per_iter, total_uops / width)
+        total_slots = cycles * width
         retiring = min(total_slots, total_uops)
         bad_spec = min(total_slots - retiring, bs_stall * width)
         frontend = min(total_slots - retiring - bad_spec, fe_stall * width)
         backend = max(0.0, total_slots - retiring - bad_spec - frontend)
-        timing.topdown = TopDownBreakdown(retiring, frontend, bad_spec, backend)
-        iterations = max(block.iterations, 0.0)
-        return timing.scaled(iterations)
+        # All iterations. Built without the keyword __init__ and its
+        # validation (the slot split above is non-negative by
+        # construction, and so is the iteration count); attributes are
+        # stored one by one, which keeps the object compact.
+        n = terms.iterations
+        timing = BlockTiming.__new__(BlockTiming)
+        timing.cycles = cycles * n
+        timing.instructions = terms.instructions * n
+        timing.uops = total_uops * n
+        timing.branches = counts["branches"] * n
+        timing.branch_mispredictions = counts["branch_mispredictions"] * n
+        timing.l1i_accesses = counts["l1i_accesses"] * n
+        timing.l1i_misses = counts["l1i_misses"] * n
+        timing.l1d_accesses = counts["l1d_accesses"] * n
+        timing.l1d_misses = counts["l1d_misses"] * n
+        timing.l2_accesses = counts["l2_accesses"] * n
+        timing.l2_misses = counts["l2_misses"] * n
+        timing.llc_accesses = counts["llc_accesses"] * n
+        timing.llc_misses = counts["llc_misses"] * n
+        timing.memory_bytes = counts["memory_bytes"] * n
+        timing.topdown = TopDownBreakdown.unchecked(
+            retiring * n, frontend * n, bad_spec * n, backend * n)
+        return timing
 
-    def time_blocks(self, blocks) -> BlockTiming:
-        """Sum of :meth:`time_block` over ``blocks``."""
-        total = BlockTiming()
-        for block in blocks:
-            total = total + self.time_block(block)
-        return total
+
+#: the counters the memory, frontend and branch components add into
+_COUNTERS = ("branches", "branch_mispredictions", "l1i_accesses",
+             "l1i_misses", "l1d_accesses", "l1d_misses", "l2_accesses",
+             "l2_misses", "llc_accesses", "llc_misses", "memory_bytes")
+
+
+class BlockTerms:
+    """The parts of a block's timing that depend only on the block and uarch.
+
+    :meth:`CoreModel.time_block` computes these first and derives the
+    rest from its context. A caller pricing one block under many
+    contexts of one uarch (:class:`~repro.runtime.pricing.BlockPricer`)
+    builds them once and passes them back in. The terms hold ``block``,
+    so the block stays alive, and its ``id`` unique, while they do.
+    """
+
+    __slots__ = ("block", "total_uops", "issue_cycles", "port_cycles",
+                 "dep_cycles", "instructions", "mem", "code_bytes",
+                 "fetch_lines", "loop_spec", "first_weight", "loop_weight",
+                 "l1i_accesses", "iterations")
+
+    def __init__(self, block: BlockSpec, uarch: UArch) -> None:
+        self.block = block
+        # Compute bounds for one iteration, port bound before SMT scaling.
+        port_uops = _port_uops(block)
+        self.total_uops = total_uops = sum(port_uops.values())
+        self.issue_cycles = total_uops / uarch.issue_width
+        port_cycles = 0.0
+        for group, uops in port_uops.items():
+            cycles = uarch.group(group).cycles_for(uops)
+            port_cycles = max(port_cycles, cycles)
+        self.port_cycles = port_cycles
+        # Dependency-chain (ILP) bound: with mean RAW distance d, the
+        # stream decomposes into ~d independent chains of n/d hops with
+        # the mix's average producing latency per hop.
+        self.instructions = instructions = block.instructions_per_iteration
+        dep_cycles = 0.0
+        if instructions > 0:
+            weighted_latency = 0.0
+            for name, count in block.iform_counts.items():
+                weighted_latency += iform(name).latency * count
+            avg_latency = max(0.5, weighted_latency / instructions)
+            distance = max(1.0, block.deps.mean_raw_distance())
+            chain_parallelism = min(distance, float(uarch.issue_width) * 2.0)
+            dep_cycles = instructions * avg_latency / chain_parallelism
+        self.dep_cycles = dep_cycles
+        # Data side: per accessed working set, (accesses, spec, MLP,
+        # prefetchable, shared write fraction).
+        mem = []
+        for spec in block.mem:
+            if spec.accesses <= 0:
+                continue
+            mem.append((spec.accesses, spec, _memory_mlp(block, spec, uarch),
+                        spec.is_regular, spec.shared_frac * spec.write_frac))
+        self.mem = tuple(mem)
+        # Instruction side: lines actually fetched per loop pass.
+        # Instructions lay out densely (4B each, 16 per line), so a pass
+        # touches at most instructions/16 lines, capped by the block
+        # footprint. Later loop passes re-fetch with the block body
+        # itself as the reuse distance.
+        self.code_bytes = code_bytes = float(block.static_code_bytes())
+        self.loop_spec = None
+        if code_bytes > 0:
+            lines = max(1.0, min(code_bytes, 4.0 * max(1.0, instructions))
+                        / LINE_BYTES)
+            loops = max(1.0, block.iterations)
+            self.fetch_lines = lines
+            self.loop_spec = MemAccessSpec(
+                wset_bytes=max(64, int(code_bytes)), accesses=lines,
+                pattern=MemPattern.SEQUENTIAL,
+            )
+            self.first_weight = 1.0 / loops
+            self.loop_weight = (loops - 1.0) / loops
+            self.l1i_accesses = max(
+                1.0, instructions * 4.0 / CoreModel.FETCH_BYTES)
+        self.iterations = max(block.iterations, 0.0)
+
+
+def _port_uops(block: BlockSpec) -> Dict[PortGroup, float]:
+    totals: Dict[PortGroup, float] = {}
+    for name, count in block.iform_counts.items():
+        form = iform(name)
+        for group, uops in form.port_uops.items():
+            totals[group] = totals.get(group, 0.0) + uops * count
+        if form.is_rep:
+            extra = form.rep_uops_per_element * block.rep_elements * count
+            totals[PortGroup.STRING] = totals.get(PortGroup.STRING, 0.0) + extra
+    return totals
+
+
+def _memory_mlp(block: BlockSpec, spec: MemAccessSpec, uarch: UArch) -> float:
+    """Achievable memory-level parallelism for ``spec``'s misses."""
+    if spec.pattern is MemPattern.POINTER_CHASE:
+        return 1.0
+    chase = block.deps.pointer_chase_frac
+    mshr = float(uarch.mshr_count)
+    # Harmonic blend: chasing fraction is serialised at MLP=1, the rest
+    # enjoys the full miss-handling capacity.
+    return 1.0 / (chase / 1.0 + (1.0 - chase) / mshr)

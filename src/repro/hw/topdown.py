@@ -69,15 +69,42 @@ class TopDownBreakdown:
         }
 
     def __add__(self, other: "TopDownBreakdown") -> "TopDownBreakdown":
-        # Hot path (one per block-pricing event): sums of validated
-        # breakdowns need no re-validation, so skip __init__ entirely.
-        result = object.__new__(TopDownBreakdown)
-        result.__dict__.update(
-            retiring=self.retiring + other.retiring,
-            frontend=self.frontend + other.frontend,
-            bad_speculation=self.bad_speculation + other.bad_speculation,
-            backend=self.backend + other.backend,
+        return TopDownBreakdown.unchecked(
+            self.retiring + other.retiring,
+            self.frontend + other.frontend,
+            self.bad_speculation + other.bad_speculation,
+            self.backend + other.backend,
         )
+
+    def accumulate(self, other: "TopDownBreakdown") -> None:
+        """Add ``other`` into this breakdown in place.
+
+        The same additions as ``self + other``. Only for a breakdown its
+        owner never shares or hashes: the running total of
+        :meth:`repro.hw.core.BlockTiming.accumulate`.
+        """
+        fields = self.__dict__
+        fields["retiring"] += other.retiring
+        fields["frontend"] += other.frontend
+        fields["bad_speculation"] += other.bad_speculation
+        fields["backend"] += other.backend
+
+    @staticmethod
+    def unchecked(retiring: float, frontend: float, bad_speculation: float,
+                  backend: float) -> "TopDownBreakdown":
+        """A breakdown built without validation.
+
+        For sums and products of values already known to be
+        non-negative (the core model's slot split, sums of breakdowns).
+        """
+        result = object.__new__(TopDownBreakdown)
+        # object.__setattr__ (not a __dict__ update) keeps the object as
+        # compact as one built by __init__
+        setattr_ = object.__setattr__
+        setattr_(result, "retiring", retiring)
+        setattr_(result, "frontend", frontend)
+        setattr_(result, "bad_speculation", bad_speculation)
+        setattr_(result, "backend", backend)
         return result
 
     def scaled(self, factor: float) -> "TopDownBreakdown":

@@ -137,6 +137,7 @@ class SimulationBuild:
     registry: Dict[str, ServiceRuntime]
     recorder: LatencyRecorder
     generator: object
+    pricer: BlockPricer
 
 
 def _build_simulation(
@@ -245,7 +246,8 @@ def _build_simulation(
     )
     return SimulationBuild(env=env, injector=injector, tracer=tracer,
                            nodes=nodes, registry=registry,
-                           recorder=recorder, generator=generator)
+                           recorder=recorder, generator=generator,
+                           pricer=pricer)
 
 
 def _device_utilisations(
@@ -308,6 +310,7 @@ def _run_experiment(
         faults=injector.timeline if injector is not None else None,
         breakers=_breaker_summary(build.registry),
         events_dispatched=build.env.dispatched_events,
+        pricings_computed=build.pricer.cache_size,
     )
     return result
 

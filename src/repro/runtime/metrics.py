@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.hw.core import BlockTiming
@@ -36,9 +36,19 @@ class ServiceMetrics:
     #: RPC calls rejected by an open circuit breaker
     circuit_rejections: int = 0
 
+    def __post_init__(self) -> None:
+        # absorb() adds into self.timing in place: own a private copy, so
+        # a caller's timing (possibly a memoised pricing) never changes.
+        timing = self.timing
+        self.timing = replace(timing, topdown=replace(timing.topdown))
+
     def absorb(self, timing: BlockTiming) -> None:
-        """Fold one block execution's counters in."""
-        self.timing = self.timing + timing
+        """Fold one block execution's counters in.
+
+        In place, with the same float additions in the same order as
+        ``self.timing = self.timing + timing``.
+        """
+        self.timing.accumulate(timing)
 
     # ------------------------------------------------------------------ #
     # derived metrics (the Fig. 5/7 radar axes)
@@ -180,6 +190,10 @@ class RunResult:
     #: result digests — it is a property of the runner, not of the
     #: simulated system)
     events_dispatched: Optional[int] = None
+    #: distinct block pricings the run computed (``CoreModel.time_block``
+    #: misses); observability, excluded from result digests like
+    #: ``events_dispatched``
+    pricings_computed: Optional[int] = None
 
     def service(self, name: str) -> ServiceMetrics:
         """Metrics for one service."""

@@ -7,15 +7,16 @@ memoises :class:`~repro.hw.core.BlockTiming` per (block, quantised
 execution state): concurrency is bucketed to powers of two and cache/SMT
 factors to two decimals, so a run touches only a few dozen distinct
 pricings while timing still responds to load, colocation and
-interference.
+interference. What does not depend on the state at all (the block's
+:class:`~repro.hw.core.BlockTerms`) is computed once per block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Dict, Optional, Tuple
 
-from repro.hw.core import BlockTiming, CoreModel, ExecutionContext
+from repro.hw.core import BlockTerms, BlockTiming, CoreModel, ExecutionContext
 from repro.hw.ir import BlockSpec
 from repro.hw.platform import PlatformSpec
 from repro.util.errors import ConfigurationError
@@ -24,7 +25,14 @@ from repro.util.quantize import next_pow2
 
 @dataclass(frozen=True)
 class PricingKey:
-    """Quantised execution state a pricing is valid for."""
+    """Quantised execution state a pricing is valid for.
+
+    Every ``BlockPricer.price`` lookup hashes and compares its key, so
+    the hash is computed once, from the field tuple the dataclass
+    ``__eq__`` compares, and cached; and :meth:`build` returns one shared
+    instance per distinct state, so equal keys are usually the same
+    object and the lookup never reaches ``__eq__``.
+    """
 
     cold: bool
     concurrency_bucket: int
@@ -35,6 +43,12 @@ class PricingKey:
     llc_factor: float
     code_reuse_kb: int
     static_branch_sites: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def build(
@@ -49,20 +63,39 @@ class PricingKey:
         if concurrency < 1:
             raise ConfigurationError("concurrency must be >= 1")
         l1i, l1d, l2, llc = cache_factors
-        return PricingKey(
-            cold=cold,
-            concurrency_bucket=next_pow2(concurrency),
-            smt_contention=round(smt_contention, 2),
-            l1i_factor=round(l1i, 2),
-            l1d_factor=round(l1d, 2),
-            l2_factor=round(l2, 2),
-            llc_factor=round(llc, 2),
+        values = (
+            cold,
+            next_pow2(concurrency),
+            round(smt_contention, 2),
+            round(l1i, 2),
+            round(l1d, 2),
+            round(l2, 2),
+            round(llc, 2),
             # 64KB steps: fine enough to keep cache-boundary distinctions
             # (a 680KB reuse must stay below a 1MB L2 and above a 256KB
             # one), coarse enough to memoise well.
-            code_reuse_kb=64 * max(1, round(code_reuse_bytes / 1024 / 64)),
-            static_branch_sites=next_pow2(max(1, static_branch_sites)),
+            64 * max(1, round(code_reuse_bytes / 1024 / 64)),
+            next_pow2(max(1, static_branch_sites)),
         )
+        key = _INTERNED.get(values)
+        if key is None:
+            # The values are already valid: skip the frozen __init__ and
+            # its per-field object.__setattr__.
+            key = object.__new__(PricingKey)
+            state = key.__dict__
+            state.update(zip(_KEY_FIELDS, values))
+            state["_hash"] = hash(values)
+            if len(_INTERNED) >= _INTERNED_MAX:
+                _INTERNED.clear()
+            _INTERNED[values] = key
+        return key
+
+
+_KEY_FIELDS = tuple(f.name for f in fields(PricingKey))
+#: the key build() returned for each field tuple; a run uses a few
+#: hundred, and a full table is simply restarted
+_INTERNED: Dict[tuple, PricingKey] = {}
+_INTERNED_MAX = 4096
 
 
 class BlockPricer:
@@ -81,6 +114,10 @@ class BlockPricer:
         )
         self.prefetch_coverage = prefetch_coverage
         self._base_hierarchy = platform.hierarchy(self.frequency_ghz)
+        # Both memos key blocks by id(); each block priced is pinned by
+        # its BlockTerms (terms.block), so no id is reused while the
+        # pricer lives.
+        self._terms: Dict[int, BlockTerms] = {}
         self._cache: Dict[Tuple[int, PricingKey], BlockTiming] = {}
         self._context_cache: Dict[PricingKey, ExecutionContext] = {}
 
@@ -114,7 +151,11 @@ class BlockPricer:
         cached = self._cache.get(cache_key)
         if cached is not None:
             return cached
-        timing = CoreModel(self.context_for(key)).time_block(block)
+        terms = self._terms.get(id(block))
+        if terms is None:
+            terms = BlockTerms(block, self.platform.uarch)
+            self._terms[id(block)] = terms
+        timing = CoreModel(self.context_for(key)).time_block(block, terms)
         self._cache[cache_key] = timing
         return timing
 

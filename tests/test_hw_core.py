@@ -1,5 +1,7 @@
 """Unit tests for the analytical core model and top-down accounting."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.hw import (
@@ -13,6 +15,7 @@ from repro.hw import (
     MemPattern,
     TopDownBreakdown,
 )
+from repro.hw.core import BlockTerms
 from repro.util.errors import ConfigurationError
 
 
@@ -275,3 +278,106 @@ class TestCrossPlatform:
         t_b = CoreModel(PLATFORM_B.context()).time_block(block)
         assert t_a.l2_misses == 0.0
         assert t_b.l2_misses > 0.0
+
+
+def _workload_blocks():
+    """Every block the socialnet and single-tier runs price.
+
+    User blocks of the five programs, the kernel block of every syscall
+    their handlers make and of the per-RPC send/register/receive calls,
+    and the context-switch block.
+    """
+    from repro.app.workloads import (build_memcached, build_mongodb,
+                                     build_nginx, build_redis)
+    from repro.app.workloads.socialnet import build_social_network
+    from repro.kernelsim.syscalls import (SyscallInvocation,
+                                          context_switch_block,
+                                          kernel_block_for)
+
+    specs = list(build_social_network().values()) + [
+        build_memcached(), build_nginx(), build_redis(), build_mongodb()]
+    blocks, kernel = [], {}
+    for spec in specs:
+        blocks.extend(spec.program.all_blocks())
+        for handler in spec.program.handlers.values():
+            invocations = list(handler.syscalls)
+            for rpc in handler.rpcs:
+                invocations += [
+                    SyscallInvocation("sendmsg", nbytes=rpc.request_bytes),
+                    SyscallInvocation("epoll_ctl"),
+                    SyscallInvocation("recv", nbytes=rpc.response_bytes)]
+            for invocation in invocations:
+                kernel.setdefault(
+                    (invocation.name, invocation.nbytes, invocation.write),
+                    kernel_block_for(invocation))
+    return blocks + list(kernel.values()) + [context_switch_block()]
+
+
+def _pricing_keys():
+    """Warm and cold keys at SMT contention 1.0 and 2.0."""
+    from repro.runtime import PricingKey
+
+    for cold in (False, True):
+        for smt in (1.0, 2.0):
+            yield PricingKey.build(
+                cold=cold, concurrency=3 if cold else 1, smt_contention=smt,
+                cache_factors=((1.0, 0.9, 0.7, 0.45) if cold
+                               else (1.0, 1.0, 1.0, 1.0)),
+                code_reuse_bytes=(2 << 20) if cold else 96 << 10,
+                static_branch_sites=1500)
+
+
+def _timing_row(timing):
+    """Every float of a BlockTiming, top-down buckets last."""
+    *counters, topdown = astuple(timing)
+    return [*counters, *topdown]
+
+
+class TestMemoisedBlockTerms:
+    """BlockPricer computes BlockTerms once per block and reuses them."""
+
+    #: sha256 over float.hex of every field of every (platform, key,
+    #: block) pricing below, taken with the model that recomputed every
+    #: term on every call: memoising the terms must not move one bit.
+    PRICING_TABLE_DIGEST = (
+        "16c0217daa401e710e9deedfcf5ef748281534972519a8e5b8251dc21fe7af26")
+
+    def _table(self):
+        from repro.hw import PLATFORM_C
+        from repro.runtime import BlockPricer
+
+        blocks = _workload_blocks()
+        for platform in (PLATFORM_A, PLATFORM_B, PLATFORM_C):
+            pricer = BlockPricer(platform)
+            for key in _pricing_keys():
+                for block in blocks:
+                    yield pricer, key, block
+
+    def test_memoised_terms_equal_a_fresh_core_model(self):
+        checked = 0
+        for pricer, key, block in self._table():
+            fresh = CoreModel(pricer.context_for(key)).time_block(block)
+            assert pricer.price(block, key) == fresh, block.name
+            checked += 1
+        # 119 blocks x 3 platforms x 4 keys, the first key of each
+        # platform computing the terms the other three reuse
+        assert checked == 1428
+
+    def test_pricing_table_pinned(self):
+        import hashlib
+
+        digest = hashlib.sha256()
+        for pricer, key, block in self._table():
+            timing = CoreModel(pricer.context_for(key)).time_block(block)
+            digest.update(" ".join(
+                float(value).hex() for value in _timing_row(timing)).encode())
+        assert digest.hexdigest() == self.PRICING_TABLE_DIGEST
+
+    def test_terms_are_key_independent(self):
+        block = _alu_block(mem=(MemAccessSpec(wset_bytes=1 << 20,
+                                              accesses=100.0),))
+        terms = BlockTerms(block, PLATFORM_A.uarch)
+        for smt in (1.0, 1.5, 2.0):
+            ctx = _ctx(smt_contention=smt)
+            assert (CoreModel(ctx).time_block(block, terms)
+                    == CoreModel(ctx).time_block(block))

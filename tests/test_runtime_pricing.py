@@ -1,5 +1,7 @@
 """Unit tests for pricing keys, the block pricer, and service metrics."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.hw import PLATFORM_A, PLATFORM_B, BlockSpec
@@ -134,3 +136,131 @@ class TestServiceMetrics:
         before = metrics.timing.instructions
         metrics.absorb(BlockTiming(cycles=10.0, instructions=20.0))
         assert metrics.timing.instructions == before + 20.0
+
+
+class TestInPlaceAbsorb:
+    def test_equals_the_add_fold_bit_for_bit(self, monkeypatch):
+        from repro import Deployment, ExperimentConfig, build_memcached
+        from repro.loadgen import LoadSpec
+        from repro.runtime import run_experiment
+
+        # a real run, recording what each service absorbed
+        absorbed = {}
+        original = ServiceMetrics.absorb
+
+        def recording(self, timing):
+            absorbed.setdefault(id(self), []).append(timing)
+            original(self, timing)
+
+        monkeypatch.setattr(ServiceMetrics, "absorb", recording)
+        result = run_experiment(
+            Deployment.single(build_memcached()), LoadSpec.open_loop(50_000),
+            ExperimentConfig(platform=PLATFORM_A, duration_s=0.005, seed=3))
+        assert result.services
+        for metrics in result.services.values():
+            timings = absorbed[id(metrics)]
+            assert len(timings) > 100
+            folded = BlockTiming()
+            for timing in timings:
+                folded = folded + timing
+            assert metrics.timing == folded
+            assert [value.hex() for value in _fields(metrics.timing)] == \
+                [value.hex() for value in _fields(folded)]
+
+    def test_constructor_copies_the_callers_timing(self):
+        given = BlockTiming(cycles=5.0, instructions=7.0,
+                            topdown=TopDownBreakdown(1.0, 2.0, 3.0, 4.0))
+        before = _fields(given)
+        metrics = ServiceMetrics(timing=given)
+        metrics.absorb(BlockTiming(
+            cycles=1.0, instructions=1.0,
+            topdown=TopDownBreakdown(1.0, 1.0, 1.0, 1.0)))
+        assert _fields(given) == before
+        assert metrics.timing.cycles == 6.0
+        assert metrics.topdown == TopDownBreakdown(2.0, 3.0, 4.0, 5.0)
+
+    def test_memoised_pricing_never_mutated(self):
+        pricer = BlockPricer(PLATFORM_A)
+        block = _block()
+        priced = pricer.price(block, _key())
+        snapshot = _fields(priced)
+        metrics = ServiceMetrics(timing=priced)
+        for _ in range(3):
+            metrics.absorb(pricer.price(block, _key()))
+        assert pricer.price(block, _key()) is priced
+        assert _fields(priced) == snapshot
+        assert metrics.timing.cycles == 4 * priced.cycles
+
+
+def _fields(timing):
+    """Every float of a BlockTiming, top-down buckets last."""
+    *counters, topdown = astuple(timing)
+    return [*counters, *topdown]
+
+
+class TestPricingKeyHash:
+    def test_cached_hash_equals_a_fresh_keys_hash(self):
+        key = _key(concurrency=5, cache_factors=(0.9, 0.8, 0.7, 0.61))
+        # a key built through the dataclass __init__: a different object
+        fresh = PricingKey(*astuple(key))
+        assert fresh == key and fresh is not key
+        assert hash(key) == hash(fresh) == hash(astuple(key))
+
+    def test_build_returns_one_instance_per_state(self):
+        from dataclasses import replace
+
+        assert _key(concurrency=5) is _key(concurrency=6)
+        assert _key(cold=True) is not _key(cold=False)
+        changed = replace(_key(), cold=True)
+        assert changed == _key(cold=True)
+        assert hash(changed) == hash(_key(cold=True))
+
+    def test_build_keeps_fields_and_repr(self):
+        from dataclasses import FrozenInstanceError
+
+        key = _key()
+        assert repr(key).startswith("PricingKey(cold=False, ")
+        assert "_hash" not in repr(key)
+        with pytest.raises(FrozenInstanceError):
+            key.cold = True
+
+
+class TestPricedBlocksArePinned:
+    def test_priced_block_lives_as_long_as_its_pricer(self):
+        import gc
+        import weakref
+
+        pricer = BlockPricer(PLATFORM_A)
+        block = _block()
+        first = pricer.price(block, _key())
+        ref = weakref.ref(block)
+        del block
+        gc.collect()
+        # still alive: its id() keys the pricer's memos, and a freed id
+        # could be reused by another block and served this one's timing
+        assert ref() is not None
+        assert pricer.price(ref(), _key()) is first
+        del pricer, first
+        gc.collect()
+        assert ref() is None
+
+
+class TestPricingsComputed:
+    def _run(self):
+        from repro import Deployment, ExperimentConfig, build_redis
+        from repro.loadgen import LoadSpec
+        from repro.runtime import run_experiment
+
+        return run_experiment(
+            Deployment.single(build_redis()), LoadSpec.closed_loop(4),
+            ExperimentConfig(platform=PLATFORM_A, duration_s=0.005, seed=2))
+
+    def test_repeats_exactly_and_stays_out_of_the_digest(self):
+        from tests.test_perf_equivalence import _result_digest
+
+        first, second = self._run(), self._run()
+        assert first.pricings_computed > 0
+        assert first.pricings_computed == second.pricings_computed
+        digest = _result_digest(first)
+        first.pricings_computed = None
+        assert _result_digest(first) == digest == _result_digest(second)
