@@ -48,7 +48,7 @@ class ExperimentConfig:
     #: historical bare-RPC behaviour
     resilience: Optional[ResilienceConfig] = None
     #: watchdog: cap on queue entries the run may dispatch (``None``
-    #: disables; a disabled run takes the engine's historical fast path)
+    #: disables; a run that does not trip it dispatches identically)
     max_sim_events: Optional[int] = None
     #: watchdog: absolute simulated-time deadline for the run; a run
     #: normally finishes shortly after ``duration_s``, so a pathological
@@ -290,9 +290,9 @@ def _run_experiment(
     build.generator.start()
     # Run until all injected requests drain (workers blocked on empty
     # queues schedule no events, so the event queue empties naturally).
-    # With any watchdog configured the engine runs its guarded loop and
-    # raises SimBudgetExceededError naming the stuck entry; with none,
-    # this is the historical (bit-identical) fast path.
+    # Watchdogs are limits inside the engine's one drain loop: a tripped
+    # one raises SimBudgetExceededError naming the stuck entry, and a
+    # run that trips none dispatches exactly as an unguarded run.
     build.env.run(until=None,
                   max_events=config.max_sim_events,
                   deadline=config.sim_deadline_s,

@@ -2,7 +2,8 @@
 
 The engine is the innermost loop of every Ditto experiment: profiling
 sweeps, tuning iterations and the fig5-fig11 benchmarks all bottom out
-in :meth:`Environment.step`. The hot paths are therefore written for
+in the one drain loop behind :meth:`Environment.run` and
+:meth:`Environment.step`. The hot paths are therefore written for
 allocation economy while preserving, exactly, the scheduling semantics
 the rest of the stack depends on (see DESIGN.md "Engine invariants"):
 
@@ -29,7 +30,7 @@ the rest of the stack depends on (see DESIGN.md "Engine invariants"):
 from __future__ import annotations
 
 import heapq
-from sys import getrefcount
+from sys import getrefcount, maxsize
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.util.errors import SimBudgetExceededError, SimulationError
@@ -46,6 +47,10 @@ _TIMEOUT_POOL_MAX = 8192
 #: without re-warming, small enough that an idle environment does not
 #: pin a burst's worth of dead Timeout objects.
 _TIMEOUT_POOL_KEEP = 32
+
+#: the drain loop's "no limit" values for its time and count bounds
+_UNBOUNDED_TIME = float("inf")
+_UNBOUNDED_COUNT = maxsize
 
 
 class Event:
@@ -398,9 +403,10 @@ class Environment:
         self._timeout_pool: List[Timeout] = []
         self._pool_served = 0
         #: queue entries dispatched over the environment's lifetime.
-        #: Maintained per drained bucket (not per entry) in the fast
-        #: drain loops, so it is exact at run() boundaries but may lag
-        #: mid-bucket; observation-only, nothing in the engine reads it.
+        #: Counted once per bucket pass (not per entry) by the drain
+        #: loop, also when a callback raises, so it is exact at run() and
+        #: step() boundaries but may lag mid-bucket; observation-only,
+        #: nothing in the engine reads it.
         self.dispatched_events = 0
         self.timeline = timeline
         self.faults = faults
@@ -409,15 +415,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def _queue(self) -> List[float]:
-        """Back-compat truthiness shim: the heap of pending times.
-
-        Non-empty exactly when queue entries are pending (buckets are
-        created with at least one entry and deleted when drained).
-        """
-        return self._times
 
     def queue_size(self) -> int:
         """Number of queue entries still pending dispatch."""
@@ -644,17 +641,6 @@ class Environment:
         else:
             bucket.append(entry)
 
-    def _push_at(self, when: float, entry: Any) -> None:
-        """Schedule a raw queue entry at an absolute time."""
-        if when < self._now:
-            raise SimulationError("event scheduled in the past")
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [1, entry]
-            heapq.heappush(self._times, when)
-        else:
-            bucket.append(entry)
-
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if event._scheduled:
             return
@@ -669,62 +655,16 @@ class Environment:
         else:
             bucket.append(event)
 
-    def _dispatch(self, item: Any) -> None:
-        """Run one popped queue entry's effects."""
-        if isinstance(item, Event):
-            # Mark dispatched: run(until=event) keys off this to stop as
-            # soon as the awaited event's callbacks have run, instead of
-            # draining unrelated queue entries (e.g. the deregistered
-            # losers of an any_of race).
-            item._scheduled = False
-            callbacks = item.callbacks
-            if callbacks:
-                if len(callbacks) == 1:
-                    callback = callbacks[0]
-                    callbacks.clear()
-                    callback(item)
-                else:
-                    item.callbacks = []
-                    for callback in callbacks:
-                        callback(item)
-            if item.__class__ is Timeout and getrefcount(item) == 3:
-                # Dispatched and provably unreferenced: exactly three
-                # refs remain — our parameter, the run()/step() local
-                # that passed it in, and getrefcount's own argument.
-                # Any caller still holding the timeout inflates the
-                # count and keeps it out of the pool. (The bucket slot
-                # it occupied was overwritten with None at pop time.)
-                pool = self._timeout_pool
-                if len(pool) < _TIMEOUT_POOL_MAX:
-                    pool.append(item)
-        else:
-            item.fire(self)
-
-    def _pop(self) -> Any:
-        """Remove and return the next queue entry, advancing the clock."""
-        times = self._times
-        when = times[0]
-        bucket = self._buckets[when]
-        cursor = bucket[0]
-        item = bucket[cursor]
-        bucket[cursor] = None
-        cursor += 1
-        if cursor == len(bucket):
-            del self._buckets[when]
-            heapq.heappop(times)
-        else:
-            bucket[0] = cursor
-        if when < self._now:
-            raise SimulationError("event scheduled in the past")
-        self._now = when
-        return item
-
     def step(self) -> None:
-        """Process the single next entry in the event queue."""
+        """Process the single next entry in the event queue.
+
+        A one-entry pass of the drain loop (:meth:`_drain`), so it
+        dispatches, counts and recycles exactly as :meth:`run` does.
+        """
         if not self._times:
             raise SimulationError("step() on an empty event queue")
-        self._dispatch(self._pop())
-        self.dispatched_events += 1
+        self._drain(_UNBOUNDED_TIME, None, 1, _UNBOUNDED_TIME,
+                    _UNBOUNDED_COUNT)
 
     def trim_timeout_pool(self) -> int:
         """Shrink the Timeout freelist after a bursty phase.
@@ -779,8 +719,8 @@ class Environment:
         (:meth:`trim_timeout_pool`), so burst-sized pools do not outlive
         the burst.
 
-        Watchdogs (all off by default; a run with none set takes the
-        historical fast paths and is bit-identical):
+        Watchdogs (all off by default; setting one never changes what a
+        run that does not trip it dispatches):
 
         - ``max_events`` bounds how many queue entries this call may
           dispatch;
@@ -792,105 +732,136 @@ class Environment:
 
         Each trips a :class:`~repro.util.errors.SimBudgetExceededError`
         naming the queue entry that was running — the stuck process —
-        plus the event count and simulated time at the trip.
+        plus the event count and simulated time at the trip. The event
+        budget and the deadline trip *before* the named entry
+        dispatches (it stays queued); the livelock guard trips right
+        *after* dispatching the entry that exceeded it.
         """
-        if (max_events is not None or deadline is not None
-                or max_stalled_events is not None):
-            return self._run_guarded(until, max_events, deadline,
-                                     max_stalled_events)
-        if isinstance(until, Event):
-            while not until._triggered or until._scheduled:
-                if not self._times:
-                    if until._triggered:
-                        break
-                    raise SimulationError(self._drained_message(until))
-                self._dispatch(self._pop())
-                self.dispatched_events += 1
-            if not self._times:
-                self.trim_timeout_pool()
-            if not until.ok:
-                raise until.value
-            return until.value
+        awaited = until if isinstance(until, Event) else None
+        horizon = (_UNBOUNDED_TIME if until is None or awaited is not None
+                   else float(until))
+        # An awaited event that has already dispatched needs no drain.
+        if awaited is None or awaited._scheduled or not awaited._triggered:
+            if self._drain(
+                    horizon, awaited,
+                    _UNBOUNDED_COUNT if max_events is None else max_events,
+                    _UNBOUNDED_TIME if deadline is None else deadline,
+                    _UNBOUNDED_COUNT if max_stalled_events is None
+                    else max_stalled_events):
+                when = self._times[0]
+                bucket = self._buckets[when]
+                head = self._entry_label(bucket[bucket[0]])
+                raise SimBudgetExceededError(
+                    f"event budget of {max_events} dispatches exhausted at "
+                    f"t={self._now:g}; next entry is {head}",
+                    budget="max_events", events=max_events,
+                    sim_time=self._now, process=head)
+        if awaited is not None and not awaited._triggered:
+            raise SimulationError(self._drained_message(awaited))
+        if until is not None and awaited is None:
+            self._now = max(self._now, horizon)
+        if not self._times:
+            self.trim_timeout_pool()
+        if awaited is None:
+            return None
+        if not awaited._ok:
+            raise awaited._value
+        return awaited._value
+
+    def _drain(self, horizon: float, awaited: Optional[Event], budget: int,
+               deadline: float, max_stalled: int) -> bool:
+        """The one drain loop: every :meth:`run` and :meth:`step` ends here.
+
+        Dispatches the calendar bucket by bucket, in (time, insertion)
+        order, until the queue empties, the next bucket lies past
+        ``horizon``, or ``awaited`` (when not None) has dispatched.
+        Entries pushed at the current time while a bucket drains append
+        to that live bucket and are picked up by the same cursor loop —
+        the dominant zero-delay traffic never touches the heap.
+
+        Every entry of a bucket shares its timestamp, so the horizon and
+        the ``deadline`` are checked once per bucket and are still
+        exact. The event ``budget`` and the livelock allowance
+        (``max_stalled`` consecutive dispatches that leave the clock
+        where it was) are limits on the cursor loop instead; per entry,
+        the loop only adds the identity test for ``awaited``.
+
+        Returns True when it stopped because ``budget`` entries were
+        dispatched while one was still due; the caller decides whether
+        that trips the ``max_events`` watchdog or ends a :meth:`step`.
+        Deadline and livelock trips raise from here.
+        """
         times = self._times
         buckets = self._buckets
         pop_time = heapq.heappop
-        dispatch = self._dispatch
         pool = self._timeout_pool
         pool_append = pool.append
+        pool_max = _TIMEOUT_POOL_MAX
         refcount = getrefcount
         timeout_cls = Timeout
-        if until is None:
-            # Drain everything, bucket by bucket: entries pushed at the
-            # current time while draining append to the live bucket and
-            # are picked up by the same inner loop — the dominant
-            # zero-delay traffic never touches the heap. Timeout
-            # dispatch is inlined (the hottest entry kind by far); the
-            # refcount bar is 2 here — the loop local plus getrefcount's
-            # argument; the bucket slot was overwritten with None above
-            # — where _dispatch (one call deeper) requires 3.
-            pool_max = _TIMEOUT_POOL_MAX
-            while times:
-                when = times[0]
-                bucket = buckets[when]
-                if when < self._now:
-                    raise SimulationError("event scheduled in the past")
-                self._now = when
-                cursor = bucket[0]
-                # The live cursor stays in the loop local; bucket[0] is
-                # refreshed only at batch boundaries (try/finally keeps
-                # it consistent if a callback raises). Nothing reads
-                # bucket[0] mid-drain — pushes only append.
-                try:
-                    size = len(bucket)
-                    while cursor < size:
-                        while cursor < size:
-                            item = bucket[cursor]
-                            bucket[cursor] = None
-                            cursor += 1
-                            if item.__class__ is timeout_cls:
-                                item._scheduled = False
-                                callbacks = item.callbacks
-                                if callbacks:
-                                    if len(callbacks) == 1:
-                                        callback = callbacks[0]
-                                        callbacks.clear()
-                                        callback(item)
-                                    else:
-                                        item.callbacks = []
-                                        for callback in callbacks:
-                                            callback(item)
-                                if (refcount(item) == 2
-                                        and len(pool) < pool_max):
-                                    pool_append(item)
-                            else:
-                                dispatch(item)
-                        size = len(bucket)
-                finally:
-                    bucket[0] = cursor
-                self.dispatched_events += cursor - 1
-                del buckets[when]
-                pop_time(times)
-            self.trim_timeout_pool()
-            return None
-        horizon = float(until)
-        pool_max = _TIMEOUT_POOL_MAX
+        event_cls = Event
+        is_instance = isinstance
+        limited = (budget < _UNBOUNDED_COUNT
+                   or max_stalled < _UNBOUNDED_COUNT)
+        # Entries dispatched by this call, and how many of them precede
+        # the current run of clock-stalled dispatches: ``done - calm``
+        # is the stall count the livelock guard bounds.
+        done = calm = 0
+        stop = _UNBOUNDED_COUNT
+        trip = None
         while times:
             when = times[0]
             if when > horizon:
                 break
             bucket = buckets[when]
+            cursor = start = bucket[0]
+            if when > deadline:
+                head = self._entry_label(bucket[cursor])
+                raise SimBudgetExceededError(
+                    f"sim-time deadline {deadline:g} exceeded: next entry "
+                    f"({head}) is scheduled at t={when:g} after {done} "
+                    f"event(s)",
+                    budget="deadline", events=done, sim_time=self._now,
+                    process=head)
+            if limited:
+                if done >= budget:
+                    return True
+                if when != self._now:
+                    # This bucket's first entry advances the clock: it
+                    # is progress, and the stall count restarts after it.
+                    calm = done + 1
+                room = max_stalled - (done - calm)
+                if room <= 0:
+                    # The next entry exceeds the livelock allowance. Name
+                    # it before dispatch: dispatching clears an event's
+                    # callback list, which is how the waiting process is
+                    # identified.
+                    trip = self._entry_label(bucket[cursor])
+                    room = 1
+                stop = budget - done
+                if room < stop:
+                    stop = room
+                stop += start
             if when < self._now:
                 raise SimulationError("event scheduled in the past")
             self._now = when
-            cursor = bucket[0]
+            # The live cursor stays in the loop local; bucket[0] is
+            # written back once per pass, in the finally, so the bucket
+            # stays consistent (and is retired once exhausted) even when
+            # a callback raises. Nothing reads bucket[0] mid-drain —
+            # pushes only append.
             try:
                 size = len(bucket)
-                while cursor < size:
-                    while cursor < size:
+                limit = size if size < stop else stop
+                while cursor < limit:
+                    while cursor < limit:
                         item = bucket[cursor]
                         bucket[cursor] = None
                         cursor += 1
-                        if item.__class__ is timeout_cls:
+                        if (item.__class__ is timeout_cls
+                                or is_instance(item, event_cls)):
+                            # Marks it dispatched: run(until=event) and
+                            # the combinators key off this.
                             item._scheduled = False
                             callbacks = item.callbacks
                             if callbacks:
@@ -902,21 +873,41 @@ class Environment:
                                     item.callbacks = []
                                     for callback in callbacks:
                                         callback(item)
-                            if (refcount(item) == 2
+                            # Dispatched and provably unreferenced: the
+                            # only references left are the loop local
+                            # and getrefcount's argument (the bucket slot
+                            # was overwritten with None above). A caller
+                            # still holding the timeout raises the count
+                            # and keeps it out of the pool.
+                            if (item.__class__ is timeout_cls
+                                    and refcount(item) == 2
                                     and len(pool) < pool_max):
                                 pool_append(item)
                         else:
-                            dispatch(item)
+                            item.fire(self)
+                        if item is awaited:
+                            stop = cursor
+                            break
                     size = len(bucket)
+                    limit = size if size < stop else stop
             finally:
                 bucket[0] = cursor
-            self.dispatched_events += cursor - 1
-            del buckets[when]
-            pop_time(times)
-        self._now = max(self._now, horizon)
-        if not times:
-            self.trim_timeout_pool()
-        return None
+                count = cursor - start
+                done += count
+                self.dispatched_events += count
+                if cursor == len(bucket):
+                    del buckets[when]
+                    pop_time(times)
+            if trip is not None:
+                raise SimBudgetExceededError(
+                    f"livelock: {done - calm} consecutive dispatches "
+                    f"without advancing t={self._now:g}; last "
+                    f"entry was {trip}",
+                    budget="livelock", events=done,
+                    sim_time=self._now, process=trip)
+            if item is awaited:
+                break
+        return False
 
     def _drained_message(self, until: Event) -> str:
         name = getattr(until, "name", "")
@@ -925,89 +916,6 @@ class Environment:
             label += f" {name!r}"
         return (f"event queue drained at t={self._now:g} before "
                 f"the awaited {label} triggered")
-
-    def _peek(self) -> tuple:
-        """The (time, entry) of the next queue entry, without popping."""
-        when = self._times[0]
-        bucket = self._buckets[when]
-        return when, bucket[bucket[0]]
-
-    def _run_guarded(
-        self,
-        until: float | Event | None,
-        max_events: Optional[int],
-        deadline: Optional[float],
-        max_stalled_events: Optional[int],
-    ) -> Any:
-        """The watchdogged run loop (any budget active).
-
-        Slower than the fast paths — one comparison per guard per
-        dispatch — which is why :meth:`run` only enters it when a
-        budget is set: unguarded runs stay on the allocation-free loops
-        and their exact historical behaviour.
-        """
-        times = self._times
-        awaited = until if isinstance(until, Event) else None
-        horizon = None if (until is None or awaited is not None) \
-            else float(until)
-        dispatched = 0
-        stalled = 0
-        while True:
-            if awaited is not None and awaited._triggered \
-                    and not awaited._scheduled:
-                break
-            if not times:
-                if awaited is not None and not awaited._triggered:
-                    raise SimulationError(self._drained_message(awaited))
-                break
-            when, head = self._peek()
-            if horizon is not None and when > horizon:
-                break
-            if deadline is not None and when > deadline:
-                raise SimBudgetExceededError(
-                    f"sim-time deadline {deadline:g} exceeded: next entry "
-                    f"({self._entry_label(head)}) is scheduled at "
-                    f"t={when:g} after {dispatched} event(s)",
-                    budget="deadline", events=dispatched,
-                    sim_time=self._now,
-                    process=self._entry_label(head))
-            if max_events is not None and dispatched >= max_events:
-                raise SimBudgetExceededError(
-                    f"event budget of {max_events} dispatches exhausted at "
-                    f"t={self._now:g}; next entry is "
-                    f"{self._entry_label(head)}",
-                    budget="max_events", events=dispatched,
-                    sim_time=self._now,
-                    process=self._entry_label(head))
-            advanced = when > self._now
-            # The label must be taken before dispatch: dispatching clears
-            # an event's callback list, which is how the waiting process
-            # is identified.
-            label = (self._entry_label(head)
-                     if max_stalled_events is not None else "")
-            self._dispatch(self._pop())
-            dispatched += 1
-            self.dispatched_events += 1
-            if max_stalled_events is not None:
-                if advanced:
-                    stalled = 0
-                else:
-                    stalled += 1
-                    if stalled > max_stalled_events:
-                        raise SimBudgetExceededError(
-                            f"livelock: {stalled} consecutive dispatches "
-                            f"without advancing t={self._now:g}; last "
-                            f"entry was {label}",
-                            budget="livelock", events=dispatched,
-                            sim_time=self._now, process=label)
-        if horizon is not None:
-            self._now = max(self._now, horizon)
-            return None
-        if awaited is not None:
-            if not awaited.ok:
-                raise awaited.value
-            return awaited.value
-        return None
 
     @staticmethod
     def _entry_label(item: Any) -> str:

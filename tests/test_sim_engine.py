@@ -507,6 +507,88 @@ class TestWatchdogBudgets:
         with pytest.raises(SimBudgetExceededError):
             env.run(until=proc, max_events=20)
 
+    #: (budget kwargs, expected budget, events, sim_time, process label,
+    #: message). The two max_events cases trip at a bucket boundary (4:
+    #: sim_time is the last dispatched time, not the head's) and
+    #: mid-bucket (5).
+    TRIPS = {
+        "max_events_boundary": (
+            {"max_events": 4}, "max_events", 4, 1.0,
+            "Timeout(delay=1) waking process 'a'",
+            "event budget of 4 dispatches exhausted at t=1; next entry is "
+            "Timeout(delay=1) waking process 'a'"),
+        "max_events_mid_bucket": (
+            {"max_events": 5}, "max_events", 5, 2.0,
+            "Timeout(delay=1) waking process 'b'",
+            "event budget of 5 dispatches exhausted at t=2; next entry is "
+            "Timeout(delay=1) waking process 'b'"),
+        "deadline": (
+            {"deadline": 3.5}, "deadline", 8, 3.0,
+            "Timeout(delay=1) waking process 'a'",
+            "sim-time deadline 3.5 exceeded: next entry (Timeout(delay=1) "
+            "waking process 'a') is scheduled at t=4 after 8 event(s)"),
+        "livelock": (
+            {"max_stalled_events": 5}, "livelock", 8, 1.0,
+            "Timeout(delay=0) waking process 'stuck'",
+            "livelock: 6 consecutive dispatches without advancing t=1; "
+            "last entry was Timeout(delay=0) waking process 'stuck'"),
+    }
+
+    @pytest.mark.parametrize("until", ["none", "float", "event"])
+    @pytest.mark.parametrize("case", sorted(TRIPS))
+    def test_trip_is_pinned(self, case, until):
+        from repro.util.errors import SimBudgetExceededError
+
+        budgets, budget, events, sim_time, label, message = self.TRIPS[case]
+        env = Environment()
+        log = []
+        if budget == "livelock":
+            # Advances the clock once, then spins at zero delay.
+            def stuck():
+                yield env.timeout(1.0)
+                while True:
+                    yield env.timeout(0.0)
+                    log.append("stuck")
+
+            env.process(stuck(), name="stuck")
+        else:
+            def spin(name):
+                while True:
+                    yield env.timeout(1.0)
+                    log.append(name)
+
+            for name in "ab":
+                env.process(spin(name), name=name)
+        target = {"none": None, "float": 100.0, "event": env.event()}[until]
+        with pytest.raises(SimBudgetExceededError) as excinfo:
+            env.run(until=target, **budgets)
+        trip = excinfo.value
+        assert (trip.budget, trip.events, trip.sim_time, trip.process,
+                str(trip)) == (budget, events, sim_time, label, message)
+        assert env.now == sim_time
+        assert env.dispatched_events == events
+        # Every dispatch but the first two (process bootstraps, or the
+        # livelock's bootstrap and clock-advancing timeout) logs once, so
+        # the named entry ran exactly when the count includes it.
+        assert len(log) == events - 2
+        # max_events and deadline trip before dispatch: the named head is
+        # still queued beside the other spinner's timeout. The livelock
+        # trips after dispatch: the named entry's process has already
+        # queued its next zero-delay timeout.
+        assert env.queue_size() == (1 if budget == "livelock" else 2)
+
+    def test_horizon_is_checked_before_deadline(self):
+        env = Environment()
+
+        def spin():
+            while True:
+                yield env.timeout(1.0)
+
+        env.process(spin(), name="spin")
+        env.run(until=2.5, deadline=2.7)
+        assert env.now == 2.5
+        assert env.queue_size() == 1
+
 
 class TestUntilEventStopsAtTrigger:
     def test_run_until_process_ignores_later_events(self):
@@ -553,7 +635,7 @@ class TestUntilEventStopsAtTrigger:
         value = env.run(until=proc)
         assert value == 2.0
         assert env.now == 2.0
-        assert env._queue  # the loser is still pending, not drained
+        assert env.queue_size() > 0  # the loser is still pending, not drained
 
     def test_until_event_with_livelock_behind_it_raises(self):
         # A watchdog must catch a livelock that starves the awaited
@@ -574,6 +656,18 @@ class TestUntilEventStopsAtTrigger:
         with pytest.raises(SimBudgetExceededError) as excinfo:
             env.run(until=proc, max_stalled_events=30)
         assert excinfo.value.budget == "livelock"
+
+
+#: ways of driving one seeded schedule to completion; all must dispatch
+#: in the reference order.
+RUN_SHAPES = ["run", "windows", "step", "budgets", "until_event"]
+
+
+def _seeded_shapes(seeds):
+    """(seed, shape) cases; the plain-run case keeps its bare seed id."""
+    return [pytest.param(seed, shape,
+                         id=str(seed) if shape == "run" else f"{seed}-{shape}")
+            for seed in seeds for shape in RUN_SHAPES]
 
 
 class TestCalendarHeapEquivalence:
@@ -620,6 +714,28 @@ class TestCalendarHeapEquivalence:
             self.env.timeout(delay).callbacks.append(lambda _event: fn())
 
     @staticmethod
+    def _run_shape(env, shape):
+        if shape == "run":
+            env.run()
+        elif shape == "windows":
+            # Horizons from the current tick up past the farthest entry,
+            # cutting between every time scale the workloads use.
+            horizon = 0.0
+            while env.queue_size() > 0:
+                env.run(until=horizon)
+                horizon = 2.0 * horizon + 1e-9
+        elif shape == "step":
+            while env.queue_size() > 0:
+                env.step()
+        elif shape == "budgets":
+            env.run(max_events=10**9, deadline=1e12,
+                    max_stalled_events=10**9)
+        else:
+            assert shape == "until_event"
+            env.run(until=env.timeout(1e9))
+        assert env.queue_size() == 0
+
+    @staticmethod
     def _drive(scheduler, rng, order):
         """Seed a workload whose callbacks chain further entries.
 
@@ -646,8 +762,8 @@ class TestCalendarHeapEquivalence:
         for _ in range(40):
             scheduler.call_after(rng.choice(delays), spawn(3))
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_dispatch_order_matches_reference(self, seed):
+    @pytest.mark.parametrize("seed,shape", _seeded_shapes(range(12)))
+    def test_dispatch_order_matches_reference(self, seed, shape):
         import random
 
         ref_order, cal_order = [], []
@@ -656,11 +772,11 @@ class TestCalendarHeapEquivalence:
         ref.run()
         env = Environment()
         self._drive(self._EnvScheduler(env), random.Random(seed), cal_order)
-        env.run()
+        self._run_shape(env, shape)
         assert cal_order == ref_order
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_timeouts_and_calls_interleave_like_reference(self, seed):
+    @pytest.mark.parametrize("seed,shape", _seeded_shapes(range(4)))
+    def test_timeouts_and_calls_interleave_like_reference(self, seed, shape):
         """Same property with callbacks appended directly to Timeout
         entries mixed among adapter-scheduled ones (timeouts traverse
         the pool/recycling machinery)."""
@@ -722,7 +838,7 @@ class TestCalendarHeapEquivalence:
         ref.run()
         env = Environment()
         drive_env(env, _random.Random(seed), cal_order)
-        env.run()
+        self._run_shape(env, shape)
         assert cal_order == ref_order
 
 
@@ -849,6 +965,61 @@ class TestDispatchedEventsCounter:
         env.run(until=waited)
         assert env.dispatched_events == 2
         assert timeout.triggered
+
+    def test_counts_resumed_partial_bucket_once(self):
+        env = Environment()
+        timeouts = [env.timeout(1.0) for _ in range(4)]
+        env.run(until=timeouts[1])  # stops mid-bucket
+        assert env.dispatched_events == 2
+        env.run()
+        assert env.dispatched_events == 4
+
+
+class TestCallbackRaisesOutOfDrain:
+    """A callback raising out of the drain loop leaves the calendar
+    consistent: the cursor is written back, the entries dispatched so
+    far are counted, and an exhausted bucket is retired."""
+
+    @staticmethod
+    def _raise(_event):
+        raise RuntimeError("callback failed")
+
+    @pytest.mark.parametrize("resume", ["step", "run", "guarded_run"])
+    def test_exhausted_bucket_is_retired(self, resume):
+        env = Environment()
+        timeouts = [env.timeout(1.0) for _ in range(6)]
+        env.timeout(2.0)
+        timeouts[-1].callbacks.append(self._raise)
+        with pytest.raises(RuntimeError):
+            env.run()
+        assert env.dispatched_events == 6
+        assert env.queue_size() == 1
+        if resume == "step":
+            env.step()
+        elif resume == "run":
+            env.run()
+        else:
+            env.run(max_events=10)
+        assert env.now == 2.0
+        assert env.dispatched_events == 7
+        assert env.queue_size() == 0
+
+    def test_mid_bucket_raise_resumes_in_order(self):
+        env = Environment()
+        order = []
+        timeouts = [env.timeout(1.0) for _ in range(6)]
+        for index, timeout in enumerate(timeouts):
+            timeout.callbacks.append(
+                lambda _event, i=index: order.append(i))
+        timeouts[2].callbacks.append(self._raise)
+        with pytest.raises(RuntimeError):
+            env.run()
+        assert order == [0, 1, 2]
+        assert env.dispatched_events == 3
+        assert env.queue_size() == 3
+        env.run(max_events=10)
+        assert order == [0, 1, 2, 3, 4, 5]
+        assert env.dispatched_events == 6
 
 
 class TestWheelPathRegressions:
