@@ -574,7 +574,7 @@ class DittoCloner:
         """Build one tier's pipeline payload with derived seeds.
 
         ``seed``/``max_tune_iterations`` default to the cloner's own;
-        remediation passes its per-attempt overrides (the task digest
+        remediation passes its per-attempt overrides (the checkpoint key
         then changes too, so a retried tier never resurrects the failed
         attempt's checkpoint).
         """
@@ -598,6 +598,7 @@ class DittoCloner:
         return TierTask(
             artifacts=profile.artifacts(name),
             generator_config=generator_config,
+            profile_digest=profile.digest,
             tune_config=tune_config,
             max_tune_iterations=max_tune_iterations,
             collect_telemetry=self.telemetry is not None,

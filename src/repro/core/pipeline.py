@@ -27,10 +27,11 @@ before the pipeline gives up with a
 carrying every sibling outcome completed so far. A broken worker pool
 (a worker killed mid-task) degrades the executor — process → thread →
 serial — and re-runs only the unfinished tiers. With ``checkpoint_dir``
-set, each finished :class:`TierOutcome` is pickled under a key derived
-from the task's :func:`~repro.util.spec_hash.stable_digest`, so a
-killed pipeline resumes without re-running completed tiers (and a
-*changed* task never matches a stale checkpoint).
+set, each finished :class:`TierOutcome` is stored under a key naming
+the tier's inputs — the profile's digest plus the task's configuration
+and seeds (see :class:`TierCheckpoint`) — so a killed pipeline resumes
+without re-running completed tiers, and a *changed* task never matches
+a stale checkpoint.
 """
 
 from __future__ import annotations
@@ -112,6 +113,10 @@ class TierTask:
 
     artifacts: ServiceArtifacts
     generator_config: GeneratorConfig
+    #: the :attr:`~repro.profiling.collector.ApplicationProfile.digest`
+    #: of the profile ``artifacts`` came from: it names them in the
+    #: checkpoint key so they are never re-encoded ("" = unnamed)
+    profile_digest: str = ""
     #: stand-alone tuning platform; ``None`` skips fine-tuning
     tune_config: Optional[ExperimentConfig] = None
     max_tune_iterations: int = DEFAULT_MAX_TUNE_ITERATIONS
@@ -125,7 +130,7 @@ class TierTask:
     #: :class:`~repro.runtime.expcache.SharedExperimentCache`); ``None``
     #: keeps the historical private in-memory cache. Results are
     #: bit-identical either way — the store only changes *where* a
-    #: memoized measurement is found.
+    #: memoized measurement is found, so it is not in the checkpoint key.
     shared_cache_dir: Optional[str] = None
 
 
@@ -251,21 +256,27 @@ def _make_pool(mode: str, max_workers: int) -> Executor:
 
 
 class TierCheckpoint:
-    """Durable per-tier outcomes keyed by the task's structural digest.
+    """Durable per-tier outcomes keyed by what the tier was asked to do.
 
-    Each finished :class:`TierOutcome` is pickled to
+    Each finished :class:`TierOutcome` is stored in an
+    :class:`~repro.validation.integrity.ArtifactStore` as
     ``<dir>/<service>-<digest16>.pkl`` the moment its tier completes, so
     a pipeline killed midway resumes from the same directory without
-    re-running finished tiers. The key covers every field of the
-    :class:`TierTask` (artifacts, generator config, tune config, seeds),
-    so any change to what a tier is asked to do misses the stale entry
-    instead of resurrecting it.
+    re-running finished tiers. The digest covers every field of the
+    :class:`TierTask` except two: ``artifacts``, which the task's
+    ``profile_digest`` names instead (the digest of the profiling
+    inputs, computed once when the profile was taken), and
+    ``shared_cache_dir``, which says where memoized measurements live,
+    not what they are. So any change to what a tier is asked to do —
+    profile, generator config, tune config, seeds — misses the stale
+    entry instead of resurrecting it. A task whose profile carries no
+    digest has no name to key on and is never checkpointed.
 
-    Integrity: checkpoints are digest-stamped envelopes (see
-    :mod:`repro.validation.integrity`) written atomically. A corrupted
-    or truncated file is **quarantined** to ``<name>.pkl.quarantined``
-    and counted in telemetry, then treated as a miss — the tier simply
-    re-runs; it is never silently resumed from bad bytes.
+    Integrity: checkpoints are digest-stamped envelopes written
+    atomically. A corrupted or truncated file is **quarantined** to
+    ``<name>.pkl.quarantined`` and counted in telemetry, then treated
+    as a miss — the tier simply re-runs; it is never silently resumed
+    from bad bytes.
     """
 
     #: schema name stamped into every checkpoint envelope
@@ -274,32 +285,30 @@ class TierCheckpoint:
     SCHEMA_VERSION = 1
 
     def __init__(self, directory: str) -> None:
-        self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
+        self.store = integrity.ArtifactStore(directory, self.SCHEMA,
+                                             self.SCHEMA_VERSION)
+
+    @staticmethod
+    def _key(task: TierTask) -> str:
+        digest = stable_digest(
+            replace(task, artifacts=None, shared_cache_dir=None))
+        return f"{task.artifacts.service}-{digest[:16]}"
 
     def path(self, task: TierTask) -> str:
         """The checkpoint file this task would load from / save to."""
-        digest = stable_digest(task)[:16]
-        return os.path.join(
-            self.directory, f"{task.artifacts.service}-{digest}.pkl")
+        return self.store.path(self._key(task))
 
     def load(self, task: TierTask) -> Optional[TierOutcome]:
-        """The saved outcome for ``task``, or None on miss/corruption.
-
-        Corruption is never silent: a damaged or foreign file is moved
-        to ``<path>.quarantined`` (evidence for inspection), reported
-        via the ``ditto_artifact_quarantines_total`` telemetry counter,
-        and only then treated as a miss.
-        """
-        outcome = integrity.load_or_miss(
-            self.path(task), schema=self.SCHEMA,
-            max_version=self.SCHEMA_VERSION)
+        """The saved outcome for ``task``, or None on a miss."""
+        if not task.profile_digest:
+            return None
+        outcome = self.store.get(self._key(task))
         return outcome if isinstance(outcome, TierOutcome) else None
 
     def save(self, task: TierTask, outcome: TierOutcome) -> None:
-        """Persist ``outcome`` atomically in a digest-stamped envelope."""
-        integrity.save_object(self.path(task), outcome, schema=self.SCHEMA,
-                              version=self.SCHEMA_VERSION)
+        """Persist ``outcome`` (write-once) for resumed runs."""
+        if task.profile_digest:
+            self.store.put(self._key(task), outcome)
 
 
 def _count_pipeline_event(name: str, help_text: str, **labels: str) -> None:

@@ -15,11 +15,14 @@ One directory holds everything a fleet needs to survive a crash:
                            *before* the lease it fences)
   jobs/<job_id>.cancel     cancellation marker (observed at phase edges)
   profiles/<digest>.pkl    profiling sessions keyed by *spec* digest
+                           (ArtifactStore, write-once)
   results/<job_id>.pkl     published JobResult envelope
   results/<job_id>.fidelity.json   FidelityReport document (CI artifact)
   results/<job_id>.bundle.json     shareable clone bundle
-  checkpoints/<job_id>/    per-tier TierCheckpoint directory
-  cache/                   fleet-wide SharedExperimentCache entries
+  checkpoints/<job_id>/    per-tier TierCheckpoint ArtifactStore, keyed
+                           by profile digest + tier config and seeds
+  cache/                   fleet-wide SharedExperimentCache ArtifactStore,
+                           keyed by experiment digest
   flight/events.jsonl      flight-recorder event log (opt-in, see below)
   fidelity/<digest>.jsonl  per-spec fidelity-drift history
 ```
@@ -32,11 +35,12 @@ atomic writer (temp file, fsync, replace). A killed worker can never
 leave a half-written artifact, and a corrupted one is moved aside (and
 counted) instead of being trusted. Only the lease bypasses it: a claim
 needs ``link()`` for exclusive creation, and a heartbeat replaces the
-lease with a crashpoint between its write and its replace. Profiles
-are ordinary ``application-profile`` sessions
-(:func:`repro.profiling.collector.save_profile`) keyed by the *spec*
-digest, not the job id: a second job with an identical spec reuses the
-first job's profiling session outright.
+lease with a crashpoint between its write and its replace. The three
+keyed directories — profiles, checkpoints, cache — are
+:class:`~repro.validation.integrity.ArtifactStore` instances, each keyed
+by a digest computed once upstream. Profiles are ``application-profile``
+envelopes keyed by the *spec* digest, not the job id: a second job with
+an identical spec reuses the first job's profiling session outright.
 
 Leases make crash recovery explicit — and *fenced*. Every claim mints
 a monotonic per-job fencing epoch (persisted before the lease exists),
@@ -71,6 +75,7 @@ digests are bit-identical with observability on or off.
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import json
 import math
@@ -93,7 +98,6 @@ from repro.profiling.collector import (
     PROFILE_SCHEMA,
     PROFILE_VERSION,
     ApplicationProfile,
-    save_profile,
 )
 from repro.telemetry.context import current_session
 from repro.telemetry.registry import MetricsRegistry
@@ -184,7 +188,6 @@ class JobStore:
                           crash_backoff_s=crash_backoff_s,
                           max_crashes=max_crashes)
         self.jobs_dir = os.path.join(root, "jobs")
-        self.profiles_dir = os.path.join(root, "profiles")
         self.results_dir = os.path.join(root, "results")
         self.checkpoints_dir = os.path.join(root, "checkpoints")
         #: the fleet-wide shared experiment cache directory
@@ -193,10 +196,13 @@ class JobStore:
         self.fidelity_dir = os.path.join(root, "fidelity")
         #: flight-recorder home (existence doubles as the enable flag)
         self.flight_dir = os.path.join(root, "flight")
-        for directory in (self.jobs_dir, self.profiles_dir,
-                          self.results_dir, self.checkpoints_dir,
-                          self.cache_dir, self.fidelity_dir):
+        for directory in (self.jobs_dir, self.results_dir,
+                          self.checkpoints_dir, self.cache_dir,
+                          self.fidelity_dir):
             os.makedirs(directory, exist_ok=True)
+        #: stored profiling sessions, named ``<spec_digest[:32]>.pkl``
+        self.profiles = integrity.ArtifactStore(
+            os.path.join(root, "profiles"), PROFILE_SCHEMA, PROFILE_VERSION)
         if registry is None:
             session = current_session()
             registry = (session.registry if session is not None
@@ -294,9 +300,6 @@ class JobStore:
 
     def cancel_path(self, job_id: str) -> str:
         return os.path.join(self.jobs_dir, f"{job_id}.cancel")
-
-    def profile_path(self, spec_digest: str) -> str:
-        return os.path.join(self.profiles_dir, f"{spec_digest[:32]}.pkl")
 
     def result_path(self, job_id: str) -> str:
         return os.path.join(self.results_dir, f"{job_id}.pkl")
@@ -664,21 +667,30 @@ class JobStore:
     # profiles (keyed by spec digest — cross-job reuse)
     # ------------------------------------------------------------------ #
     def save_profile(self, spec_digest: str,
-                     profile: ApplicationProfile) -> None:
-        """Persist a profiling session for every job sharing this spec."""
-        path = self.profile_path(spec_digest)
-        if not os.path.exists(path):
-            save_profile(path, profile)
+                     profile: ApplicationProfile) -> str:
+        """Store a profiling session for every job sharing this spec
+        (write-once); returns its path."""
+        key = spec_digest[:32]
+        self.profiles.put(key, profile)
+        return self.profiles.path(key)
 
     def load_profile(self, spec_digest: str) -> Optional[ApplicationProfile]:
-        """A stored profile for this spec, or None (miss/corruption)."""
-        profile = integrity.load_or_miss(self.profile_path(spec_digest),
-                                         schema=PROFILE_SCHEMA,
-                                         max_version=PROFILE_VERSION)
+        """A stored profile for this spec, or None (miss/corruption).
+
+        A profile saved before profiles recorded their input digest is
+        a miss too, and is removed so the re-profiled session replaces
+        it: its tiers could not be checkpointed.
+        """
+        key = spec_digest[:32]
+        profile = self.profiles.get(key)
         if profile is None:
             return None
+        if not profile.digest:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self.profiles.path(key))
+            return None
         self._counters["profile_reuse"].inc()
-        self._emit("profile_reused", digest=spec_digest[:32])
+        self._emit("profile_reused", digest=key)
         return profile
 
     # ------------------------------------------------------------------ #

@@ -283,9 +283,8 @@ def _execute_fenced(store: JobStore, record,
                                 attempts=record.attempts - attempts_before)
     report = result.report
     if profile is None and report.profile is not None:
-        store.save_profile(record.spec_digest, report.profile)
-        crashpoint("worker.profile.post_save", job_id=job_id,
-                   path=store.profile_path(record.spec_digest))
+        path = store.save_profile(record.spec_digest, report.profile)
+        crashpoint("worker.profile.post_save", job_id=job_id, path=path)
     tuned: Dict[str, object] = {
         name: tuning.knobs for name, tuning in report.tuning.items()}
     result_digest = stable_digest({

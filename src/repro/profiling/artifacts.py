@@ -167,45 +167,3 @@ class ServiceArtifacts:
     observed_hot_code_bytes: float = 0.0
     #: sizes of files the service touched (stat() during profiling)
     file_sizes: Dict[str, float] = field(default_factory=dict)
-
-
-
-# --------------------------------------------------------------------- #
-# persistence (digest-stamped envelopes)
-# --------------------------------------------------------------------- #
-#: schema name stamped into persisted ServiceArtifacts envelopes
-ARTIFACTS_SCHEMA = "service-artifacts"
-#: payload schema version (bump when the dataclass layout changes)
-ARTIFACTS_VERSION = 1
-
-
-def save_artifacts(path: str, artifacts: ServiceArtifacts) -> str:
-    """Persist one service's artifacts atomically, digest-stamped.
-
-    Profiling a real deployment is the expensive half of a clone run;
-    saving its artifacts lets a later session re-clone (or re-validate)
-    without re-profiling. The envelope format detects truncation and
-    bit-rot on load instead of feeding damaged traces to the generator.
-    """
-    from repro.validation import integrity
-
-    return integrity.save_object(path, artifacts, schema=ARTIFACTS_SCHEMA,
-                                 version=ARTIFACTS_VERSION)
-
-
-def load_artifacts(path: str) -> ServiceArtifacts:
-    """Load artifacts saved by :func:`save_artifacts`.
-
-    Raises :class:`~repro.util.errors.ArtifactIntegrityError` (after
-    quarantining the file) when the envelope fails verification, and
-    ``FileNotFoundError`` when it simply is not there.
-    """
-    from repro.validation import integrity
-
-    loaded = integrity.load_object(path, schema=ARTIFACTS_SCHEMA,
-                                   max_version=ARTIFACTS_VERSION)
-    if not isinstance(loaded, ServiceArtifacts):
-        raise ConfigurationError(
-            f"{path}: envelope holds {type(loaded).__name__}, "
-            f"expected ServiceArtifacts")
-    return loaded

@@ -39,6 +39,7 @@ from repro.tracing.tracer import Tracer
 from repro.util.errors import ProfilingError
 from repro.util.quantize import next_pow2
 from repro.util.rng import RngStream
+from repro.util.spec_hash import stable_digest
 from repro.util.stats import Histogram
 
 #: average encoded instruction length assumed by the i-side maths (§4.4.5)
@@ -54,6 +55,11 @@ class ApplicationProfile:
     spans: List[Span]
     platform_name: str
     profiling_qps: float
+    #: stable digest of the session's inputs (deployment, load, tracer-free
+    #: config, budget, seed): names the artifacts without re-encoding
+    #: them; "" for a profile built by other means or saved before
+    #: profiles recorded it
+    digest: str = ""
 
     def artifacts(self, service: str) -> ServiceArtifacts:
         """Artifacts for one service."""
@@ -533,6 +539,8 @@ def profile_deployment(
 ) -> ApplicationProfile:
     """Run one instrumented profiling session over a deployment."""
     budget = budget if budget is not None else ProfilingBudget()
+    digest = stable_digest(deployment, load, replace(config, tracer=None),
+                           budget, seed)
     tracer = Tracer(sample_rate=1.0, seed=seed)
     instrumented = replace(
         config,
@@ -566,44 +574,10 @@ def profile_deployment(
         spans=spans,
         platform_name=config.platform.name,
         profiling_qps=(load.qps if load.kind == "open" else 0.0),
+        digest=digest,
     )
 
 
-# --------------------------------------------------------------------- #
-# persistence (digest-stamped envelopes)
-# --------------------------------------------------------------------- #
-#: schema name stamped into persisted ApplicationProfile envelopes
+#: envelope schema (and payload version) of a stored ApplicationProfile
 PROFILE_SCHEMA = "application-profile"
-#: payload schema version (bump when the profile layout changes)
 PROFILE_VERSION = 1
-
-
-def save_profile(path: str, profile: ApplicationProfile) -> str:
-    """Persist a whole profiling session atomically, digest-stamped.
-
-    One file per session: every tier's artifacts plus the span record,
-    so ``clone_from_profile`` can re-run later — on another machine,
-    against another platform model — without touching the original
-    deployment again.
-    """
-    from repro.validation import integrity
-
-    return integrity.save_object(path, profile, schema=PROFILE_SCHEMA,
-                                 version=PROFILE_VERSION)
-
-
-def load_profile(path: str) -> ApplicationProfile:
-    """Load a session saved by :func:`save_profile`.
-
-    Raises :class:`~repro.util.errors.ArtifactIntegrityError` (after
-    quarantining the file) when the envelope fails verification.
-    """
-    from repro.validation import integrity
-
-    loaded = integrity.load_object(path, schema=PROFILE_SCHEMA,
-                                   max_version=PROFILE_VERSION)
-    if not isinstance(loaded, ApplicationProfile):
-        raise ProfilingError(
-            f"{path}: envelope holds {type(loaded).__name__}, "
-            f"expected ApplicationProfile")
-    return loaded

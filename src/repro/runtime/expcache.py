@@ -29,7 +29,6 @@ unchanged.
 from __future__ import annotations
 
 import copy
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import List, Optional
@@ -226,9 +225,9 @@ class SharedExperimentCache(ExperimentCache):
     """An :class:`ExperimentCache` backed by a fleet-wide on-disk store.
 
     The in-memory LRU tier behaves exactly like the base class; behind
-    it sits a directory of digest-keyed result files, one envelope per
-    key (written via :mod:`repro.validation.integrity`, so entries are
-    atomic and self-verifying). Several jobs — in the same process or
+    it sits :attr:`disk`, an :class:`~repro.validation.integrity.ArtifactStore`
+    holding one write-once ``<key>.pkl`` envelope per experiment key
+    (atomic and self-verifying). Several jobs — in the same process or
     not — point at the same directory and reuse each other's
     measurements: a second job with an identical spec finds the first
     job's simulations already on disk.
@@ -252,8 +251,11 @@ class SharedExperimentCache(ExperimentCache):
                  name: str = "fleet") -> None:
         super().__init__(max_entries=max_entries, registry=registry,
                          name=name)
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+        # Lazy import: runtime/ must not depend on validation/ at module
+        # load (validation's gate imports runtime for replay).
+        from repro.validation.integrity import ArtifactStore
+        self.disk = ArtifactStore(directory, self.SCHEMA,
+                                  self.SCHEMA_VERSION)
         self._shared_counters = {
             field: self.registry.counter(
                 metric_name,
@@ -261,20 +263,12 @@ class SharedExperimentCache(ExperimentCache):
             for field, metric_name in SHARED_CACHE_METRICS.items()
         }
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.pkl")
-
     def _lookup(self, key: str) -> Optional[RunResult]:
         cached = super()._lookup(key)
         if cached is not None:
             return cached
-        # Lazy import: runtime/ must not depend on validation/ at module
-        # load (validation's gate imports runtime for replay).
-        from repro.validation import integrity
         # Corrupt entries are quarantined by the loader: re-measure.
-        result = integrity.load_or_miss(
-            self._path(key), schema=self.SCHEMA,
-            max_version=self.SCHEMA_VERSION)
+        result = self.disk.get(key)
         if result is None:
             return None
         self._shared_counters["disk_hits"].inc(1, cache=self.name)
@@ -285,9 +279,5 @@ class SharedExperimentCache(ExperimentCache):
 
     def _insert(self, key: str, result: RunResult) -> None:
         super()._insert(key, result)
-        from repro.validation import integrity
-        path = self._path(key)
-        if not os.path.exists(path):
-            integrity.save_object(path, result, schema=self.SCHEMA,
-                                  version=self.SCHEMA_VERSION)
+        if self.disk.put(key, result):
             self._shared_counters["disk_stores"].inc(1, cache=self.name)

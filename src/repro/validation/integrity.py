@@ -18,7 +18,10 @@ one was expected — is **quarantined**: atomically renamed to
 for inspection while the bad path can never be loaded again, then
 reported via an :class:`~repro.util.errors.ArtifactIntegrityError`
 (and an ambient-telemetry counter when a session is active). Caches
-read through :func:`load_or_miss`, where any such failure is a miss.
+— the shared experiment cache, tier checkpoints, fleet profiles — are
+:class:`ArtifactStore` instances: one directory of write-once envelopes
+named by a caller-built key, read through :func:`load_or_miss`, where
+any such failure is a miss.
 
 JSON artifacts (bundles, migration and fidelity documents) carry a
 :func:`stamp_json` canonical-JSON SHA-256 stanza; :func:`write_json`
@@ -42,6 +45,7 @@ from repro.util.errors import ArtifactIntegrityError
 
 __all__ = [
     "MAGIC",
+    "ArtifactStore",
     "load_object",
     "load_or_miss",
     "quarantine",
@@ -215,6 +219,38 @@ def load_or_miss(path: str, *, schema: str,
         return load_object(path, schema=schema, max_version=max_version)
     except (FileNotFoundError, ArtifactIntegrityError):
         return None
+
+
+class ArtifactStore:
+    """A directory of write-once envelopes, one ``<key>.pkl`` per key.
+
+    The key names the artifact's inputs (a digest the caller computed
+    once), so an entry never changes once written: :meth:`put` skips a
+    key that is already present, and :meth:`get` treats absent, corrupt
+    (quarantined first) and future-versioned entries alike as a miss.
+    """
+
+    def __init__(self, directory, schema: str, version: int = 1) -> None:
+        self.directory = str(directory)
+        self.schema = schema
+        self.version = version
+        os.makedirs(self.directory, exist_ok=True)
+
+    def path(self, key: str) -> str:
+        return os.path.join(self.directory, f"{key}.pkl")
+
+    def get(self, key: str) -> Any:
+        """The stored object, or None on a miss."""
+        return load_or_miss(self.path(key), schema=self.schema,
+                            max_version=self.version)
+
+    def put(self, key: str, obj: Any) -> bool:
+        """Store ``obj`` unless ``key`` is present; True when written."""
+        path = self.path(key)
+        if os.path.exists(path):
+            return False
+        save_object(path, obj, schema=self.schema, version=self.version)
+        return True
 
 
 # --------------------------------------------------------------------- #

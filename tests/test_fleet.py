@@ -131,6 +131,26 @@ class TestJobStore:
         with pytest.raises((ArtifactIntegrityError, FileNotFoundError)):
             store.get(lose.job_id)
 
+    def test_profile_without_input_digest_is_reprofiled_once(self,
+                                                            tmp_path):
+        # Upgrade path: a profile stored before profiles named their
+        # inputs is a miss and makes room for the re-profiled session.
+        from repro.profiling import ApplicationProfile
+        store = JobStore(str(tmp_path))
+        spec_digest = "ab" * 32
+
+        def profile(digest):
+            return ApplicationProfile(
+                entry_service="memcached", services={}, spans=[],
+                platform_name="A", profiling_qps=0.0, digest=digest)
+
+        path = store.save_profile(spec_digest, profile(""))
+        assert os.path.basename(path) == spec_digest[:32] + ".pkl"
+        assert store.load_profile(spec_digest) is None
+        assert not os.path.exists(path)
+        store.save_profile(spec_digest, profile("cd" * 32))
+        assert store.load_profile(spec_digest).digest == "cd" * 32
+
     def test_lease_exclusivity(self, tmp_path):
         store = JobStore(str(tmp_path))
         record = store.submit(CloneJobSpec(request=_request()))

@@ -14,8 +14,10 @@ from repro.core.pipeline import TierCheckpoint, clone_tier, run_tier_pipeline
 from repro.faults import FaultPlan, LatencySpikeFault, PacketLossFault
 from repro.hw import PLATFORM_A
 from repro.loadgen import LoadSpec
-from repro.profiling import ProfilingBudget, profile_deployment
+from repro.profiling import (ProfilingBudget, ServiceArtifacts,
+                             profile_deployment)
 from repro.runtime import ExperimentConfig, run_experiment
+from repro.util import spec_hash
 from repro.util.errors import ConfigurationError, TierExecutionError
 from repro.util.spec_hash import stable_digest
 
@@ -38,14 +40,19 @@ def _two_tier_deployment():
     )
 
 
-@pytest.fixture(scope="module")
-def tier_tasks():
+def _tasks(profiling_seed=17):
     deployment = _two_tier_deployment()
     cloner = DittoCloner(fine_tune_tiers=False, budget=FAST_BUDGET, seed=17)
     profile = profile_deployment(deployment, LoadSpec.open_loop(30_000),
-                                 CONFIG, budget=FAST_BUDGET, seed=17)
+                                 CONFIG, budget=FAST_BUDGET,
+                                 seed=profiling_seed)
     return [cloner._tier_task(profile, name, CONFIG)
             for name in deployment.services]
+
+
+@pytest.fixture(scope="module")
+def tier_tasks():
+    return _tasks()
 
 
 # ---------------------------------------------------------------------- #
@@ -228,6 +235,75 @@ class TestCheckpointResume:
         with open(log) as handle:
             reran = sorted(handle.read().split())
         assert reran == ["memcached", "redis"]  # stale entries ignored
+
+    def test_other_profile_misses_stale_checkpoint(self, tier_tasks,
+                                                  tmp_path):
+        # Same services, generator and tune configs — only the profiling
+        # seed differs, so the artifacts do: the profile digest in the
+        # key must tell the two apart.
+        reprofiled = _tasks(profiling_seed=18)
+        for old, new in zip(tier_tasks, reprofiled):
+            assert replace(new, artifacts=old.artifacts,
+                           profile_digest=old.profile_digest) == old
+        ckpt = str(tmp_path / "ckpt")
+        run_tier_pipeline(tier_tasks, executor="serial",
+                          checkpoint_dir=ckpt)
+        log = str(tmp_path / "invocations")
+        run_tier_pipeline(reprofiled, executor="serial",
+                          tier_fn=functools.partial(_logged_clone, log),
+                          checkpoint_dir=ckpt)
+        with open(log) as handle:
+            reran = sorted(handle.read().split())
+        assert reran == ["memcached", "redis"]
+
+    def test_cache_dir_spelling_does_not_rerun_tiers(
+            self, tier_tasks, tmp_path, monkeypatch):
+        # Regression: the shared cache's location used to be part of the
+        # key, so a store opened as "store" and again as "/abs/store"
+        # re-ran every tier of a resumed job.
+        monkeypatch.chdir(tmp_path)
+        ckpt = str(tmp_path / "ckpt")
+        run_tier_pipeline(
+            [replace(task, shared_cache_dir=os.path.join("store", "cache"))
+             for task in tier_tasks],
+            executor="serial", checkpoint_dir=ckpt)
+        log = str(tmp_path / "invocations")
+        run_tier_pipeline(
+            [replace(task, shared_cache_dir=str(tmp_path / "store" / "cache"))
+             for task in tier_tasks],
+            executor="serial",
+            tier_fn=functools.partial(_logged_clone, log),
+            checkpoint_dir=ckpt)
+        assert not os.path.exists(log)  # nothing re-ran
+
+    def test_key_never_encodes_artifacts(self, tier_tasks, tmp_path,
+                                         monkeypatch):
+        encoded = []
+        encode = spec_hash._encode
+
+        def counting(obj, out):
+            if isinstance(obj, ServiceArtifacts):
+                encoded.append(obj.service)
+            encode(obj, out)
+
+        monkeypatch.setattr(spec_hash, "_encode", counting)
+        TierCheckpoint(str(tmp_path / "ckpt")).path(tier_tasks[0])
+        assert encoded == []
+
+    def test_checkpoint_name_pinned(self, tier_tasks, tmp_path):
+        # Moving this name makes every stored checkpoint miss once: change
+        # it only on purpose, with an upgrade note.
+        ckpt = TierCheckpoint(str(tmp_path / "ckpt"))
+        assert os.path.basename(ckpt.path(tier_tasks[0])) == \
+            "memcached-e14a2663b055aacc.pkl"
+
+    def test_unnamed_profile_is_never_checkpointed(self, tier_tasks,
+                                                    tmp_path):
+        ckpt = TierCheckpoint(str(tmp_path / "ckpt"))
+        unnamed = replace(tier_tasks[0], profile_digest="")
+        ckpt.save(unnamed, clone_tier(unnamed))
+        assert os.listdir(str(tmp_path / "ckpt")) == []
+        assert ckpt.load(unnamed) is None
 
     def test_corrupt_checkpoint_is_a_miss(self, tier_tasks, tmp_path):
         ckpt = TierCheckpoint(str(tmp_path / "ckpt"))

@@ -234,3 +234,41 @@ class TestLoadOrMiss:
                                       max_version=1) is None
         assert os.path.exists(path)
         assert not os.path.exists(path + ".quarantined")
+
+    # The same cases through an ArtifactStore, the one caller of
+    # load_or_miss in the program.
+    def test_store_hit(self, tmp_path):
+        store = integrity.ArtifactStore(tmp_path / "store", "demo")
+        assert store.put("k", [1, 2]) is True
+        assert store.path("k") == str(tmp_path / "store" / "k.pkl")
+        assert store.get("k") == [1, 2]
+
+    def test_store_absent_is_miss(self, tmp_path):
+        store = integrity.ArtifactStore(tmp_path / "store", "demo")
+        assert store.get("k") is None
+        assert os.listdir(store.directory) == []
+
+    def test_store_corrupt_is_quarantined_miss(self, tmp_path):
+        store = integrity.ArtifactStore(tmp_path / "store", "demo")
+        store.put("k", [1, 2])
+        with open(store.path("k"), "ab") as handle:
+            handle.write(b"junk")
+        assert store.get("k") is None
+        assert not os.path.exists(store.path("k"))
+        assert os.path.exists(store.path("k") + ".quarantined")
+        assert store.put("k", [1, 2]) is True  # the miss is re-filled
+        assert store.get("k") == [1, 2]
+
+    def test_store_future_version_is_miss_left_in_place(self, tmp_path):
+        directory = tmp_path / "store"
+        integrity.ArtifactStore(directory, "demo", version=9).put("k", [1])
+        store = integrity.ArtifactStore(directory, "demo", version=1)
+        assert store.get("k") is None
+        assert os.path.exists(store.path("k"))
+        assert not os.path.exists(store.path("k") + ".quarantined")
+
+    def test_store_put_is_write_once(self, tmp_path):
+        store = integrity.ArtifactStore(tmp_path / "store", "demo")
+        assert store.put("k", [1]) is True
+        assert store.put("k", [2]) is False
+        assert store.get("k") == [1]
