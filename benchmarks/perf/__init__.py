@@ -1,11 +1,10 @@
 """Perf-regression harness for the simulation fast paths.
 
 Measures the hot paths this repo's perf work targets — DES engine event
-throughput, set-associative cache simulation, Mattson working-set sweeps,
-branch-outcome generation / prediction, and the end-to-end
-``DittoCloner.clone`` wall-clock — and emits ``BENCH_perf.json`` at the
-repo root with the measured rates, the recorded pre-optimization
-baseline, and the resulting speedups.
+throughput, Mattson working-set sweeps, branch-outcome generation /
+prediction, and the end-to-end ``DittoCloner.clone`` wall-clock — and
+emits ``BENCH_perf.json`` at the repo root with the measured rates, the
+recorded pre-optimization baseline, and the resulting speedups.
 
 Run it with::
 
@@ -30,12 +29,11 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_perf.json"
 #: pre-PR rates (best of 3) captured on the reference machine with the
 #: same workloads at "full" scale, before the engine rewrite and the
 #: cache/branch vectorization. ``branch_updates_per_s`` was measured
-#: through the scalar predict_and_update loop — the only API that
+#: through a scalar per-branch predictor loop — the only API that
 #: existed then; the harness now routes the same workload through
 #: ``predict_and_update_many``.
 BASELINE = {
     "engine_events_per_s": 457_445.0,
-    "cache_addresses_per_s": 758_196.0,
     "sweep_addresses_per_s": 178_517.0,
     "branch_updates_per_s": 517_209.0,
     "branch_gen_per_s": 6_058_093.0,
@@ -53,7 +51,6 @@ TARGETS = {
 SCALES = {
     "full": {
         "engine_events": 409_600,
-        "cache_accesses": 200_000,
         "sweep_accesses": 60_000,
         "branch_updates": 100_000,
         "branch_gen": 400_000,
@@ -62,7 +59,6 @@ SCALES = {
     },
     "smoke": {
         "engine_events": 163_840,
-        "cache_accesses": 20_000,
         "sweep_accesses": 8_000,
         "branch_updates": 20_000,
         "branch_gen": 50_000,
@@ -152,20 +148,6 @@ def bench_engine(n: int) -> int:
     return env.dispatched_events
 
 
-def bench_cache(n: int) -> int:
-    """Batched set-associative LRU simulation of a random stream."""
-    from repro.hw.cache import CacheConfig, SetAssociativeCache, generate_access_stream
-    from repro.hw.ir import MemAccessSpec, MemPattern
-    from repro.util.rng import make_rng
-
-    cache = SetAssociativeCache(CacheConfig("l2", 256 * 1024, 8, 12))
-    rng = make_rng(1, "bench")
-    spec = MemAccessSpec(wset_bytes=1024 * 1024, accesses=n,
-                         pattern=MemPattern.RANDOM)
-    cache.access_many(generate_access_stream(spec, rng, n))
-    return n
-
-
 def bench_sweep(n: int) -> int:
     """Mattson stack-distance working-set sweep (profiling hot path)."""
     from repro.hw.cache import generate_access_stream
@@ -238,8 +220,6 @@ def run_suite(scale: str = "full", repeat: int = 3) -> Dict[str, object]:
         "engine_events_per_s": best_rate(
             lambda: bench_engine(sizes["engine_events"]), repeat,
             warmup=8),
-        "cache_addresses_per_s": best_rate(
-            lambda: bench_cache(sizes["cache_accesses"]), repeat),
         "sweep_addresses_per_s": best_rate(
             lambda: bench_sweep(sizes["sweep_accesses"]), repeat),
         "branch_updates_per_s": best_rate(

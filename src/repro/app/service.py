@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping
 
 from repro.app.program import Program
 from repro.app.skeleton import Skeleton
@@ -123,24 +123,6 @@ class Deployment:
     def services_on(self, node: str) -> List[str]:
         """Services placed on ``node``."""
         return [p.service for p in self.placements if p.node == node]
-
-    def tier_order(self) -> List[str]:
-        """Services in topological order (entry first)."""
-        order: List[str] = []
-        visited: set = set()
-
-        def visit(name: str) -> None:
-            if name in visited:
-                return
-            visited.add(name)
-            order.append(name)
-            for target in self.services[name].program.downstream_services():
-                visit(target)
-
-        visit(self.entry_service)
-        for name in self.services:
-            visit(name)
-        return order
 
     @staticmethod
     def single(service: ServiceSpec, node: str = "node0") -> "Deployment":

@@ -9,7 +9,7 @@ because they dominate latency and scalability behaviour.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.util.errors import ConfigurationError
@@ -82,10 +82,12 @@ class ThreadClass:
 class Skeleton:
     """A service's structural model.
 
-    ``event_batch_window_s`` models epoll batching: requests arriving
-    within one window are delivered by a single wakeup, which amortises
-    context switches and keeps the i-cache warm at high load (the
-    mechanism behind Fig. 5's low-load IPC dips for Memcached/NGINX).
+    ``event_batch_window_s`` records the application's epoll batching
+    window. The runtime batches by draining: an I/O-multiplexing worker
+    serves up to ``max_batch`` queued requests per wakeup, which
+    amortises context switches and keeps the i-cache warm at high load
+    (the mechanism behind Fig. 5's low-load IPC dips for
+    Memcached/NGINX).
     """
 
     server_model: ServerNetworkModel
@@ -133,17 +135,3 @@ class Skeleton:
         if self.server_model is ServerNetworkModel.BLOCKING:
             return "recv"
         return "recv"  # non-blocking polls recv with EAGAIN
-
-    def expected_batch(self, qps: float, workers: int) -> float:
-        """Expected requests delivered per wakeup at load ``qps``.
-
-        Only I/O-multiplexing servers batch; blocking servers wake once
-        per request. Batching saturates at ``max_batch``.
-        """
-        if self.server_model is not ServerNetworkModel.IO_MULTIPLEXING:
-            return 1.0
-        if qps <= 0 or workers <= 0:
-            return 1.0
-        per_worker_rate = qps / workers
-        batch = 1.0 + per_worker_rate * self.event_batch_window_s
-        return float(min(self.max_batch, batch))

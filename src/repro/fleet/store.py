@@ -20,7 +20,10 @@ One directory holds everything a fleet needs to survive a crash:
   results/<job_id>.fidelity.json   FidelityReport document (CI artifact)
   results/<job_id>.bundle.json     shareable clone bundle
   checkpoints/<job_id>/    per-tier TierCheckpoint ArtifactStore, keyed
-                           by profile digest + tier config and seeds
+                           by profile digest + tier config and seeds;
+                           removed once the job publishes or is
+                           cancelled (a failed or dead-lettered job
+                           keeps it to resume from)
   cache/                   fleet-wide SharedExperimentCache ArtifactStore,
                            keyed by experiment digest
   flight/events.jsonl      flight-recorder event log (opt-in, see below)
@@ -80,6 +83,7 @@ import glob
 import json
 import math
 import os
+import shutil
 import time
 from typing import Dict, Iterable, List, Optional
 
@@ -397,10 +401,19 @@ class JobStore:
 
     def transition(self, record: CloneJobRecord, to_state: JobState, *,
                    reason: str = "") -> None:
-        """Take one state-machine edge and persist it (counted)."""
+        """Take one state-machine edge and persist it (counted).
+
+        Entering ``PUBLISHED`` or ``CANCELLED`` removes the job's
+        checkpoint directory after the record is saved.
+        """
         from_state = record.state
         record.transition(to_state, reason=reason)
         self.save(record)
+        if to_state in (JobState.PUBLISHED, JobState.CANCELLED):
+            # Nothing resumes a published or cancelled job, so its tier
+            # checkpoints are dead weight once that record is durable.
+            shutil.rmtree(self.checkpoint_dir(record.job_id),
+                          ignore_errors=True)
         crashpoint("store.transition.post_save", job_id=record.job_id)
         self._counters["transitions"].inc(
             1, from_state=from_state.value, to_state=to_state.value)

@@ -3,12 +3,13 @@
 The CPU model is *analytical*: given a basic block's instruction mix,
 memory-access specs, branch specs and dependency profile, it computes
 cycles and performance-counter values the way llvm-mca/top-down analysis
-would, using per-microarchitecture port/latency tables. Cache and branch
-behaviour come from explicit simulators (used by the Valgrind-/SDE-like
-profilers) and matching closed forms (used for fast runtime timing).
+would, using per-microarchitecture port/latency tables. Cache behaviour
+comes from closed-form miss fractions, branch behaviour from a gshare
+predictor run over synthetic outcome streams (measured once per
+population and cached).
 """
 
-from repro.hw.cache import CacheConfig, CacheHierarchy, SetAssociativeCache
+from repro.hw.cache import CacheConfig, CacheHierarchy
 from repro.hw.branch import BranchPredictorModel, GsharePredictor
 from repro.hw.core import BlockTiming, CoreModel, ExecutionContext
 from repro.hw.ir import (
@@ -53,7 +54,6 @@ __all__ = [
     "PLATFORM_B",
     "PLATFORM_C",
     "PlatformSpec",
-    "SetAssociativeCache",
     "TopDownBreakdown",
     "load_platform_spec",
     "platform_by_name",

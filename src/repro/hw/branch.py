@@ -88,32 +88,6 @@ def generate_branch_outcomes(
     return outcomes
 
 
-def generate_branch_outcomes_reference(
-    taken_rate: float,
-    transition_rate: float,
-    length: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Scalar reference for :func:`generate_branch_outcomes` (tests)."""
-    if length <= 0:
-        raise ConfigurationError("stream length must be positive")
-    if not 0.0 <= taken_rate <= 1.0 or not 0.0 <= transition_rate <= 1.0:
-        raise ConfigurationError("rates must be within [0, 1]")
-    p = min(max(taken_rate, 1e-6), 1.0 - 1e-6)
-    t = min(transition_rate, 2.0 * min(p, 1.0 - p))
-    a = min(1.0, t / (2.0 * p))
-    b = min(1.0, t / (2.0 * (1.0 - p)))
-    outcomes = np.empty(length, dtype=bool)
-    state = rng.random() < p
-    randoms = rng.random(length)
-    for i in range(length):
-        outcomes[i] = state
-        flip = randoms[i] < (a if state else b)
-        if flip:
-            state = not state
-    return outcomes
-
-
 class GsharePredictor:
     """Global-history two-bit-counter predictor with a shared table."""
 
@@ -128,34 +102,15 @@ class GsharePredictor:
         self.predictions = 0
         self.mispredictions = 0
 
-    def _index(self, pc: int) -> int:
-        return (pc ^ self._history) & self._mask
-
-    def predict_and_update(self, pc: int, taken: bool) -> bool:
-        """Predict branch at ``pc``; update with the actual outcome.
-
-        Returns True when the prediction was correct.
-        """
-        index = self._index(pc)
-        predicted_taken = self._table[index] >= 2
-        correct = predicted_taken == taken
-        self.predictions += 1
-        if not correct:
-            self.mispredictions += 1
-        if taken and self._table[index] < 3:
-            self._table[index] += 1
-        elif not taken and self._table[index] > 0:
-            self._table[index] -= 1
-        history_mask = (1 << self.history_bits) - 1
-        self._history = ((self._history << 1) | int(taken)) & history_mask
-        return correct
-
     def predict_and_update_many(
         self, pcs: np.ndarray, takens: np.ndarray
     ) -> np.ndarray:
-        """Batch :meth:`predict_and_update`; bit-identical to the loop.
+        """Predict each branch in turn, updating after each one.
 
-        Returns a boolean array, True where the prediction was correct.
+        Returns a boolean array, True where the prediction was correct;
+        the result and the final table and history equal those of a
+        branch-by-branch walk.
+
         The global history before each branch depends only on earlier
         outcomes (all known up front), so every table index is computed
         vectorized; the genuinely sequential part — two-bit counters

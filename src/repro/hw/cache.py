@@ -1,36 +1,30 @@
 """Cache models.
 
-Two complementary views of the same hardware:
-
-- :class:`SetAssociativeCache` — an explicit set-associative LRU cache
-  simulator. This is what the Valgrind-like working-set profiler drives
-  when it sweeps "cache sizes" (§4.4.4): it replays sampled address
-  streams and counts hits, exactly as ``cachegrind`` would.
-- closed-form hit/miss fractions for the runtime timing model
-  (:func:`miss_fraction`), exploiting the paper's key observation: for a
-  sequential loop over a working set of W bytes under (pseudo-)LRU, every
-  access hits when the cache is at least W bytes and misses otherwise,
-  independent of hierarchy depth or inclusion policy.
+The runtime timing model prices memory accesses with closed-form
+hit/miss fractions (:func:`miss_fraction`), exploiting the paper's key
+observation: for a sequential loop over a working set of W bytes under
+(pseudo-)LRU, every access hits when the cache is at least W bytes and
+misses otherwise, independent of hierarchy depth or inclusion policy.
+The working-set profiler does not simulate caches either: it sweeps
+sizes with Mattson stack distances (:mod:`repro.profiling.wset`).
 
 :class:`CacheHierarchy` composes per-level configs into the L1i/L1d/L2/LLC
-stack of Table 1's platforms.
+stack of Table 1's platforms; :func:`generate_access_stream` turns a
+:class:`~repro.hw.ir.MemAccessSpec` into a concrete address stream for
+memory-trace export.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.hw.ir import MemAccessSpec, MemPattern
-from repro.hw.stackdist import stack_distances
 from repro.util.errors import ConfigurationError
 
 LINE_BYTES = 64
-
-#: below this many addresses the scalar LRU walk beats batch setup costs
-_BATCH_MIN = 64
 
 
 @dataclass(frozen=True)
@@ -56,8 +50,7 @@ class CacheConfig:
             )
         if self.latency_cycles < 0:
             raise ConfigurationError(f"{self.name}: negative latency")
-        # Precomputed (not a dataclass field: digests/eq/repr unchanged) —
-        # the simulator reads this once per access.
+        # Precomputed (not a dataclass field: digests/eq/repr unchanged).
         object.__setattr__(
             self, "num_sets",
             self.size_bytes // (self.line_bytes * self.associativity))
@@ -77,135 +70,6 @@ class CacheConfig:
         )
 
 
-class SetAssociativeCache:
-    """Explicit set-associative LRU cache simulator over line addresses.
-
-    Addresses are byte addresses; the simulator tracks tags per set with
-    true-LRU replacement. It is used by profilers (cache-size sweeps) and
-    by tests that validate the closed-form model against simulation.
-    """
-
-    def __init__(self, config: CacheConfig) -> None:
-        self.config = config
-        self._sets: List[List[int]] = [[] for _ in range(config.num_sets)]
-        self.hits = 0
-        self.misses = 0
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters (state is kept)."""
-        self.hits = 0
-        self.misses = 0
-
-    def flush(self) -> None:
-        """Invalidate all lines and zero the counters."""
-        self._sets = [[] for _ in range(self.config.num_sets)]
-        self.reset_stats()
-
-    @property
-    def accesses(self) -> int:
-        """Total accesses observed since the last counter reset."""
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        """Miss fraction since the last counter reset (0 when idle)."""
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
-    def access(self, address: int) -> bool:
-        """Access one byte address; returns True on hit."""
-        config = self.config
-        line = address // config.line_bytes
-        ways = self._sets[line % config.num_sets]
-        try:
-            position = ways.index(line)
-        except ValueError:
-            self.misses += 1
-            ways.insert(0, line)
-            if len(ways) > config.associativity:
-                ways.pop()
-            return False
-        self.hits += 1
-        ways.insert(0, ways.pop(position))
-        return True
-
-    def access_many(self, addresses: Iterable[int]) -> int:
-        """Access a stream of addresses; returns the number of hits.
-
-        Large array-like streams take a vectorized path (one Mattson
-        stack-distance pass over all sets at once — a within-set
-        distance below the associativity is a hit under true LRU) that
-        leaves the counters *and* the resident state exactly as the
-        per-access walk would; tests cross-check the two.
-        """
-        if not isinstance(addresses, np.ndarray):
-            arr = np.asarray(addresses)
-        else:
-            arr = addresses
-        if arr.dtype == object or arr.ndim != 1 or arr.shape[0] < _BATCH_MIN:
-            return self._access_many_scalar(addresses)
-        return self._access_many_batch(arr.astype(np.int64, copy=False))
-
-    def _access_many_scalar(self, addresses: Iterable[int]) -> int:
-        """Per-access reference walk (also the small-batch fast path)."""
-        before = self.hits
-        for address in addresses:
-            self.access(int(address))
-        return self.hits - before
-
-    def _access_many_batch(self, addr: np.ndarray) -> int:
-        config = self.config
-        num_sets = config.num_sets
-        associativity = config.associativity
-        lines = addr // config.line_bytes
-        sets = lines % num_sets
-        # Current contents become pseudo-accesses in LRU->MRU order, so
-        # batch accesses to resident lines see their true recency depth.
-        prefix: List[int] = []
-        for set_index in np.unique(sets).tolist():
-            ways = self._sets[set_index]
-            if ways:
-                prefix.extend(ways[::-1])
-        n_prefix = len(prefix)
-        if n_prefix:
-            all_lines = np.concatenate(
-                [np.asarray(prefix, dtype=np.int64), lines])
-        else:
-            all_lines = lines
-        all_sets = all_lines % num_sets
-        # Stable sort groups each set's accesses contiguously (prefix
-        # entries first, then batch entries in time order); same-set
-        # stack distances are then computable in one global pass, since
-        # a reuse window never crosses a set boundary.
-        order = np.argsort(all_sets, kind="stable")
-        ordered = all_lines[order]
-        distances = stack_distances(ordered)
-        batch_distances = distances[order >= n_prefix]
-        hits = int(np.count_nonzero(
-            (batch_distances >= 0) & (batch_distances < associativity)))
-        self.hits += hits
-        self.misses += lines.shape[0] - hits
-        # Final residents per set = the associativity most recently used
-        # distinct lines; rebuild only the touched sets.
-        reverse = ordered[::-1]
-        unique_lines, first_in_reverse = np.unique(reverse, return_index=True)
-        last_position = ordered.shape[0] - 1 - first_in_reverse
-        unique_sets = unique_lines % num_sets
-        mru_order = np.lexsort((-last_position, unique_sets))
-        grouped_sets = unique_sets[mru_order]
-        grouped_lines = unique_lines[mru_order]
-        starts = np.nonzero(
-            np.r_[True, grouped_sets[1:] != grouped_sets[:-1]])[0]
-        ends = np.r_[starts[1:], grouped_sets.shape[0]]
-        sets_list = self._sets
-        for set_index, start, end in zip(grouped_sets[starts].tolist(),
-                                         starts.tolist(), ends.tolist()):
-            sets_list[set_index] = \
-                grouped_lines[start:min(end, start + associativity)].tolist()
-        return hits
-
-
 def generate_access_stream(
     spec: MemAccessSpec,
     rng: np.random.Generator,
@@ -214,10 +78,8 @@ def generate_access_stream(
 ) -> np.ndarray:
     """Materialise a byte-address stream realising ``spec``'s pattern.
 
-    The application models and the synthetic clones both turn their
-    :class:`MemAccessSpec`s into concrete streams through this single
-    function, so profilers observe addresses produced by the same
-    mechanics for either side.
+    :mod:`repro.core.trace_export` writes a program's memory trace with
+    it; the working-set profiler samples its own region traces instead.
     """
     if length <= 0:
         raise ConfigurationError("stream length must be positive")
@@ -249,7 +111,7 @@ _MISS_FRACTION_MEMO_MAX = 1 << 16
 def miss_fraction(spec: MemAccessSpec, cache_bytes: float) -> float:
     """Steady-state miss fraction of ``spec`` against a ``cache_bytes`` cache.
 
-    Closed forms matching :class:`SetAssociativeCache` behaviour:
+    Closed forms of a set-associative true-LRU cache's steady state:
 
     - sequential/strided/pointer-chase cyclic patterns: all-hit when the
       working set fits, all-miss otherwise (the §4.4.4 LRU argument);
@@ -294,10 +156,6 @@ class CacheHierarchy:
         self.l2 = l2
         self.llc = llc
         self.memory_latency_cycles = memory_latency_cycles
-        # Per-hierarchy memos: the core model prices the same access
-        # specs against one hierarchy for every request in a run.
-        self._latency_memo: Dict[tuple, float] = {}
-        self._profile_memo: Dict[tuple, Dict[str, float]] = {}
 
     def data_levels(self) -> Sequence[CacheConfig]:
         """The data-side levels, innermost first."""
@@ -322,40 +180,3 @@ class CacheHierarchy:
             self.llc.scaled(llc_factor),
             self.memory_latency_cycles,
         )
-
-    def data_miss_profile(self, spec: MemAccessSpec) -> Dict[str, float]:
-        """Miss fractions of ``spec`` at each data level.
-
-        Returns a mapping level-name -> miss fraction *of the accesses
-        presented to that level* — the hierarchy filters sequentially, so
-        L2's denominator is L1d's misses, etc.
-        """
-        key = (spec.pattern, spec.wset_bytes)
-        cached = self._profile_memo.get(key)
-        if cached is not None:
-            return dict(cached)
-        profile: Dict[str, float] = {}
-        for level in self.data_levels():
-            profile[level.name] = miss_fraction(spec, level.size_bytes)
-        self._profile_memo[key] = dict(profile)
-        return profile
-
-    def load_latency(self, spec: MemAccessSpec) -> float:
-        """Expected cycles to satisfy one access of ``spec`` (no MLP/prefetch).
-
-        Computed as the latency of the first level the access hits in,
-        averaged over the hit/miss fractions.
-        """
-        key = (spec.pattern, spec.wset_bytes)
-        cached = self._latency_memo.get(key)
-        if cached is not None:
-            return cached
-        remaining = 1.0
-        expected = 0.0
-        for level in self.data_levels():
-            miss = miss_fraction(spec, level.size_bytes)
-            expected += remaining * (1.0 - miss) * level.latency_cycles
-            remaining *= miss
-        expected += remaining * self.memory_latency_cycles
-        self._latency_memo[key] = expected
-        return expected

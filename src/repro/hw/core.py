@@ -123,37 +123,12 @@ class BlockTiming:
             return 0.0
         return self.instructions / self.cycles
 
-    def __add__(self, other: "BlockTiming") -> "BlockTiming":
-        # Bypasses the 15-keyword dataclass __init__; the field sums are
-        # identical. :meth:`accumulate` must keep doing exactly these sums.
-        result = BlockTiming.__new__(BlockTiming)
-        result.__dict__ = {
-            "cycles": self.cycles + other.cycles,
-            "instructions": self.instructions + other.instructions,
-            "uops": self.uops + other.uops,
-            "branches": self.branches + other.branches,
-            "branch_mispredictions": (
-                self.branch_mispredictions + other.branch_mispredictions
-            ),
-            "l1i_accesses": self.l1i_accesses + other.l1i_accesses,
-            "l1i_misses": self.l1i_misses + other.l1i_misses,
-            "l1d_accesses": self.l1d_accesses + other.l1d_accesses,
-            "l1d_misses": self.l1d_misses + other.l1d_misses,
-            "l2_accesses": self.l2_accesses + other.l2_accesses,
-            "l2_misses": self.l2_misses + other.l2_misses,
-            "llc_accesses": self.llc_accesses + other.llc_accesses,
-            "llc_misses": self.llc_misses + other.llc_misses,
-            "memory_bytes": self.memory_bytes + other.memory_bytes,
-            "topdown": self.topdown + other.topdown,
-        }
-        return result
-
     def accumulate(self, other: "BlockTiming") -> None:
         """Add ``other`` into this timing in place.
 
-        Every field gets the same float addition as in ``self + other``,
-        so a running total folded with this method equals the
-        ``__add__`` fold bit for bit. The caller must own this timing and
+        Every field gets one float addition, ``self.f + other.f``, so a
+        running total folded with this method equals the out-of-place
+        field-by-field sum bit for bit. The caller must own this timing and
         its ``topdown`` (never a memoised pricing, whose breakdown may be
         shared).
         """

@@ -203,30 +203,6 @@ class BlockSpec:
             total += iform(name).size_bytes * count
         return int(round(total))
 
-    def scaled(self, factor: float, name: str | None = None) -> "BlockSpec":
-        """A copy with per-iteration work scaled by ``factor``."""
-        if factor < 0:
-            raise ConfigurationError("scale factor must be non-negative")
-        return BlockSpec(
-            name=name or self.name,
-            iform_counts={k: v * factor for k, v in self.iform_counts.items()},
-            iterations=self.iterations,
-            code_bytes=self.code_bytes,
-            mem=tuple(
-                MemAccessSpec(m.wset_bytes, m.accesses * factor, m.pattern,
-                              m.write_frac, m.shared_frac)
-                for m in self.mem
-            ),
-            branches=tuple(
-                BranchSpec(b.executions * factor, b.taken_rate,
-                           b.transition_rate, b.static_count)
-                for b in self.branches
-            ),
-            deps=self.deps,
-            rep_elements=self.rep_elements,
-        )
-
-
 def merge_iform_counts(specs: List[BlockSpec]) -> Dict[str, float]:
     """Aggregate per-request dynamic iform counts over blocks."""
     totals: Dict[str, float] = {}

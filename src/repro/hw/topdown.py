@@ -35,19 +35,6 @@ class TopDownBreakdown:
         """All issue slots accounted for."""
         return self.retiring + self.frontend + self.bad_speculation + self.backend
 
-    def fractions(self) -> dict:
-        """Normalised bucket fractions (empty breakdown -> all zeros)."""
-        total = self.total_slots
-        if total <= 0.0:
-            return {"retiring": 0.0, "frontend": 0.0, "bad_speculation": 0.0,
-                    "backend": 0.0}
-        return {
-            "retiring": self.retiring / total,
-            "frontend": self.frontend / total,
-            "bad_speculation": self.bad_speculation / total,
-            "backend": self.backend / total,
-        }
-
     def cpi_contributions(self, instructions: float, issue_width: int) -> dict:
         """Split CPI into per-bucket contributions (Fig. 8's stacked bars).
 
@@ -68,18 +55,10 @@ class TopDownBreakdown:
             )
         }
 
-    def __add__(self, other: "TopDownBreakdown") -> "TopDownBreakdown":
-        return TopDownBreakdown.unchecked(
-            self.retiring + other.retiring,
-            self.frontend + other.frontend,
-            self.bad_speculation + other.bad_speculation,
-            self.backend + other.backend,
-        )
-
     def accumulate(self, other: "TopDownBreakdown") -> None:
         """Add ``other`` into this breakdown in place.
 
-        The same additions as ``self + other``. Only for a breakdown its
+        One float addition per bucket. Only for a breakdown its
         owner never shares or hashes: the running total of
         :meth:`repro.hw.core.BlockTiming.accumulate`.
         """
@@ -95,7 +74,7 @@ class TopDownBreakdown:
         """A breakdown built without validation.
 
         For sums and products of values already known to be
-        non-negative (the core model's slot split, sums of breakdowns).
+        non-negative (the core model's slot split).
         """
         result = object.__new__(TopDownBreakdown)
         # object.__setattr__ (not a __dict__ update) keeps the object as
@@ -106,17 +85,6 @@ class TopDownBreakdown:
         setattr_(result, "bad_speculation", bad_speculation)
         setattr_(result, "backend", backend)
         return result
-
-    def scaled(self, factor: float) -> "TopDownBreakdown":
-        """All buckets multiplied by ``factor``."""
-        if factor < 0:
-            raise ConfigurationError("factor must be non-negative")
-        return TopDownBreakdown(
-            self.retiring * factor,
-            self.frontend * factor,
-            self.bad_speculation * factor,
-            self.backend * factor,
-        )
 
     @staticmethod
     def zero() -> "TopDownBreakdown":

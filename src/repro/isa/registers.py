@@ -90,13 +90,3 @@ class RegisterFile:
     def free_xmms(self) -> List[Register]:
         """XMM registers available to the dependency assigner."""
         return list(self.xmms)
-
-    def pool(self, reg_class: RegisterClass) -> List[Register]:
-        """The assignable pool for a register class."""
-        if reg_class is RegisterClass.GPR:
-            return self.free_gprs()
-        if reg_class is RegisterClass.XMM:
-            return self.free_xmms()
-        if reg_class is RegisterClass.X87:
-            return list(self.x87s)
-        raise ConfigurationError(f"no assignable pool for {reg_class}")

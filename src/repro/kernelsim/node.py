@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.hw.platform import PlatformSpec
 from repro.kernelsim.filesystem import FileSystem, PageCache
@@ -14,13 +14,26 @@ from repro.util.errors import ConfigurationError
 
 
 class _DiskIoOp:
-    """Compiled continuation equivalent of :meth:`DiskDevice.io`.
+    """One disk I/O as a generator-free continuation.
 
-    Two acquire→hold phases (queue slot, then transfer channel) driven
-    as a five-stage state machine that pushes exactly the queue entries
-    the generator path would — same bucket slots, same times, fault
-    draws (``disk_check``/``disk_factor``) at the same dispatch — so
-    runs are bit-identical while skipping the generator machinery.
+    Two acquire→hold phases, the queue slot then the transfer channel,
+    driven as a five-stage machine (T = issue time, L = access latency,
+    X = transfer time, both stretched by the ``disk_factor`` slowdown):
+
+      stage 0 @ T         — admission: ``disk_check``/``disk_factor``
+                            draws, then acquire a queue slot
+      NOOP @ T            — the idle-queue grant slot
+      stage 1 @ T         — the grant's resume: start the access latency
+      stage 2 @ T+L       — acquire the channel
+      NOOP @ T+L          — the idle-channel grant slot
+      stage 3 @ T+L       — the grant's resume: start the transfer
+      stage 4 @ T+L+X     — release channel then queue slot, count bytes,
+                            complete
+      completion @ T+L+X  — callbacks of the completion event
+
+    A busy queue or channel skips that phase's NOOP and resume slots:
+    the holder's ``release()`` pushes the grant, whose callback starts
+    the phase's hold.
     """
 
     __slots__ = ("device", "completion", "label", "_stage", "_nbytes",
@@ -137,58 +150,17 @@ class DiskDevice:
         self.write_bytes = 0.0
         self.operations = 0
 
-    def io(self, nbytes: float, write: bool = False
-           ) -> Generator[Event, None, None]:
-        """DES process body: one device I/O of ``nbytes``.
+    def io_op(self, nbytes: float, write: bool = False) -> Event:
+        """One device I/O of ``nbytes``; returns the completion event.
 
         Injection point: an attached
         :class:`~repro.faults.injector.FaultInjector` may fail the
-        operation outright (injected IO error or crashed node, raised
-        as :class:`~repro.util.errors.FaultInjectionError`) or stretch
-        its access latency and transfer time by a brown-out factor.
-        A factor of 1.0 schedules identically to no injector.
-        """
-        if nbytes < 0:
-            raise ConfigurationError("nbytes must be non-negative")
-        issued = self.env.now
-        faults = self.env.faults
-        slowdown = 1.0
-        if faults is not None:
-            faults.disk_check(self.name)
-            slowdown = faults.disk_factor(self.name)
-        grant = self._queue.request()
-        yield grant
-        try:
-            latency = (self.spec.write_latency_s if write
-                       else self.spec.read_latency_s)
-            yield self.env.timeout(latency * slowdown)
-            channel = self._channel.request()
-            yield channel
-            try:
-                xfer = nbytes / (self.spec.bandwidth_bytes_per_s
-                                 * self.bandwidth_share)
-                yield self.env.timeout(xfer * slowdown)
-            finally:
-                self._channel.release()
-        finally:
-            self._queue.release()
-        self.operations += 1
-        if write:
-            self.write_bytes += nbytes
-        else:
-            self.read_bytes += nbytes
-        timeline = self._timeline
-        if timeline is not None:
-            timeline.complete(self.name, "write" if write else "read",
-                              issued, self.env.now - issued,
-                              nbytes=nbytes)
-
-    def io_op(self, nbytes: float, write: bool = False) -> Event:
-        """Generator-free :meth:`io`: returns the completion event.
-
-        ``yield disk.io_op(n)`` schedules bit-identically to
-        ``yield env.process(disk.io(n))`` (see :class:`_DiskIoOp`)
-        without the generator machinery.
+        operation outright (injected IO error or crashed node: the
+        completion fails with
+        :class:`~repro.util.errors.FaultInjectionError`) or stretch its
+        access latency and transfer time by a brown-out factor. A factor
+        of 1.0 schedules identically to no injector. See
+        :class:`_DiskIoOp` for the slot schedule.
         """
         return _DiskIoOp(self, nbytes, write).completion
 

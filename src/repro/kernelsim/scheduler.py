@@ -9,7 +9,7 @@ one of the effects prior user-level cloning work misses).
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.hw.core import CoreModel, ExecutionContext
 from repro.kernelsim.syscalls import context_switch_block
@@ -19,24 +19,22 @@ from repro.util.errors import ConfigurationError
 
 
 class _CpuExecuteOp:
-    """Compiled continuation equivalent of :meth:`CpuDevice.execute`.
+    """One CPU execution as a generator-free continuation.
 
-    A generator-free state machine that pushes *exactly* the queue
-    entries the ``yield env.process(cpu.execute(...))`` path would —
-    same bucket slots, same times, same fault-draw points — so a run
-    using it is bit-identical to the generator path (asserted by
-    tests/test_perf_equivalence.py) while skipping the Process wrapper,
-    the generator frame and two send() round-trips per operation.
+    The op is its own queue entry: each :meth:`fire` advances one
+    stage. Its same-timestamp schedule is fixed, because pinned result
+    digests depend on the engine's slot order (T = issue time,
+    H = hold):
 
-    Slot map vs the generator (T = issue time, H = hold):
-      stage 0 @ T       — process bootstrap ``_Resume``
-      NOOP @ T          — the idle-path grant event (dispatches empty)
-      stage 1 @ T       — the waiter's ``_Resume`` on the grant
-      stage 2 @ T+H     — the hold ``Timeout``
-      completion @ T+H  — the Process-completion event
-    On a busy pool there are no NOOP/stage-1 slots: the grant event is
-    pushed by ``release()`` and resumes the op from its callback, just
-    as the generator resumes inline from the grant's callback.
+      stage 0 @ T       — admission: fault check, then acquire a core
+      NOOP @ T          — the idle-pool grant slot (dispatches empty)
+      stage 1 @ T       — the grant's resume: CPU-steal draw, start hold
+      stage 2 @ T+H     — the hold ends: release the core, complete
+      completion @ T+H  — callbacks of the completion event
+
+    On a busy pool there are no NOOP/stage-1 slots: ``release()`` of
+    another holder pushes the grant event, whose callback starts the
+    hold.
     """
 
     __slots__ = ("device", "completion", "label", "_stage", "_hold",
@@ -174,52 +172,24 @@ class CpuDevice:
             raise ConfigurationError("cycles must be non-negative")
         return cycles / self.frequency_hz
 
-    def execute(
+    def execute_op(
         self,
         cycles: float,
         switch: Optional[ContextSwitchModel] = None,
-    ) -> Generator[Event, None, None]:
-        """DES process body: occupy one core for ``cycles`` of work.
+    ) -> Event:
+        """Occupy one core for ``cycles`` of work; returns the completion.
 
         When ``switch`` is given, the dispatch pays one context switch
         (the thread was blocked and is being scheduled back in).
 
         Injection point: an attached
         :class:`~repro.faults.injector.FaultInjector` may declare the
-        node crashed (raises
+        node crashed (the completion fails with
         :class:`~repro.util.errors.FaultInjectionError`) or stretch the
         hold time by a CPU-steal factor — the vmstat ``%steal`` effect
         of a noisy hypervisor co-tenant. A factor of 1.0 schedules
-        identically to no injector.
-        """
-        total_cycles = cycles
-        if switch is not None:
-            total_cycles += switch.cycles
-            self.context_switches += 1
-        hold = self.seconds_for_cycles(total_cycles)
-        faults = self.env.faults
-        if faults is not None:
-            faults.check_node_up(self.name)
-        grant = self._pool.request()
-        yield grant
-        try:
-            if faults is not None:
-                hold *= faults.cpu_factor(self.name)
-            yield self.env.timeout(hold)
-        finally:
-            self._pool.release()
-        self.busy_seconds += hold
-
-    def execute_op(
-        self,
-        cycles: float,
-        switch: Optional[ContextSwitchModel] = None,
-    ) -> Event:
-        """Generator-free :meth:`execute`: returns the completion event.
-
-        ``yield cpu.execute_op(c)`` schedules bit-identically to
-        ``yield env.process(cpu.execute(c))`` (see :class:`_CpuExecuteOp`)
-        but skips the generator machinery — the service-loop fast path.
+        identically to no injector. See :class:`_CpuExecuteOp` for the
+        slot schedule.
         """
         return _CpuExecuteOp(self, cycles, switch).completion
 

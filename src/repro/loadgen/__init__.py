@@ -11,7 +11,6 @@ from repro.loadgen.distributions import (
     ConstantInterarrival,
     ExponentialInterarrival,
     UniformKeys,
-    ZipfKeys,
 )
 from repro.loadgen.generator import (
     REQUEST_OUTCOMES,
@@ -32,7 +31,6 @@ __all__ = [
     "OpenLoopGenerator",
     "REQUEST_OUTCOMES",
     "UniformKeys",
-    "ZipfKeys",
     "build_generator",
     "classify_failure",
 ]

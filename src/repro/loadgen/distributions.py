@@ -46,25 +46,3 @@ class UniformKeys:
     def next_key(self) -> int:
         """Draw one key index."""
         return int(self._rng.integers(0, self.key_count))
-
-
-class ZipfKeys:
-    """Zipfian key popularity (YCSB's default for cache-friendly loads)."""
-
-    def __init__(
-        self, key_count: int, rng: np.random.Generator, s: float = 0.99
-    ) -> None:
-        if key_count < 1:
-            raise ConfigurationError("key_count must be >= 1")
-        if s <= 0:
-            raise ConfigurationError("zipf exponent must be positive")
-        self.key_count = key_count
-        self.s = s
-        self._rng = rng
-        ranks = np.arange(1, key_count + 1, dtype=float)
-        weights = ranks**-s
-        self._cdf = np.cumsum(weights / weights.sum())
-
-    def next_key(self) -> int:
-        """Draw one key index (0 is the most popular)."""
-        return int(np.searchsorted(self._cdf, self._rng.random()))

@@ -21,9 +21,11 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.core.bundle import MIGRATION_FORMAT
 from repro.hw.platform import load_platform_spec, platform_by_name
 from repro.migrate.engine import migrate_bundle
 from repro.migrate.preflight import PreflightReport
+from repro.telemetry.report import render_migration_document
 from repro.util.errors import (
     ArtifactIntegrityError,
     MigrationError,
@@ -138,13 +140,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     _write_preflight(options.preflight_json, result.preflight)
     if not options.quiet:
-        print(result.preflight.summary())
-        print()
-        print(result.fidelity.summary())
-        if result.remediation:
-            print()
-            for step in result.remediation:
-                print(f"remediation: {step}")
+        # The published artifact, read back through its stamp check,
+        # is what the tables show.
+        try:
+            document = integrity.read_json(result.path,
+                                           schema=MIGRATION_FORMAT)
+        except (ArtifactIntegrityError, OSError) as error:
+            print(f"published artifact unreadable: {error}",
+                  file=sys.stderr)
+            return EXIT_ERROR
+        print(render_migration_document(document))
     print(f"migrated {options.bundle} → {result.path} "
           f"({result.preflight.source}→{result.preflight.destination}, "
           f"gate PASS)")

@@ -45,8 +45,8 @@ class ServiceMetrics:
     def absorb(self, timing: BlockTiming) -> None:
         """Fold one block execution's counters in.
 
-        In place, with the same float additions in the same order as
-        ``self.timing = self.timing + timing``.
+        In place: one float addition per counter, in arrival order, so
+        the total equals the out-of-place field-by-field fold.
         """
         self.timing.accumulate(timing)
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.app.program import ComputeOp, Handler, RpcOp, SyscallOp
+from repro.app.program import ComputeOp, RpcOp, SyscallOp
 from repro.app.service import ServiceSpec
 from repro.app.skeleton import ClientNetworkModel, ServerNetworkModel
 from repro.hw.contention import ContentionFactors
@@ -95,17 +95,17 @@ class NodeState:
 class ServiceRuntime:
     """Executes one service's skeleton and handlers on a node.
 
-    ``fast_ops`` selects the engine path for the inner device loops
-    (CPU execute, NIC transmit, disk I/O): ``True`` (the default) uses
-    the compiled generator-free continuations
-    (:meth:`~repro.kernelsim.scheduler.CpuDevice.execute_op` and
-    friends), ``False`` the original generator processes. Both schedule
-    bit-identically — the flag exists so the equivalence suite can run
-    the same workload down both paths and compare digests.
+    Worker processes pull requests off the service queue and run each
+    handler's ops: compute blocks are priced through the shared
+    :class:`~repro.runtime.pricing.BlockPricer` and charged to the node's
+    CPU, syscalls drive the disk and NIC, and RPCs submit to the
+    downstream runtimes in ``registry`` (optionally behind the timeout,
+    retry and circuit-breaker semantics of a :class:`ResilienceConfig`).
+    Device work goes through the generator-free ops
+    :meth:`~repro.kernelsim.scheduler.CpuDevice.execute_op`,
+    :meth:`~repro.kernelsim.node.DiskDevice.io_op` and
+    :meth:`~repro.kernelsim.netstack.NicDevice.transmit_op`.
     """
-
-    #: class-wide default for the device-op fast path (see class doc)
-    fast_ops: bool = True
 
     def __init__(
         self,
@@ -148,21 +148,10 @@ class ServiceRuntime:
         # Telemetry timeline, bound once at construction (attach-time
         # guard): an untimed run pays no per-request check at all.
         self._timeline = env.timeline
-        # Device-op entry points, resolved once: the compiled
-        # continuations or the generator processes (bit-identical
-        # schedules — see the class docstring).
-        if self.fast_ops:
-            self._cpu_execute = node.cpu.execute_op
-            self._disk_io = node.disk.io_op
-            self._nic_transmit = node.nic.transmit_op
-        else:
-            self._cpu_execute = (
-                lambda cycles: env.process(node.cpu.execute(cycles)))
-            self._disk_io = (
-                lambda nbytes, write=False: env.process(
-                    node.disk.io(nbytes, write=write)))
-            self._nic_transmit = (
-                lambda nbytes: env.process(node.nic.transmit(nbytes)))
+        # Device-op entry points, resolved once per runtime.
+        self._cpu_execute = node.cpu.execute_op
+        self._disk_io = node.disk.io_op
+        self._nic_transmit = node.nic.transmit_op
         # Static execution-state ingredients.
         program = spec.program
         syscall_names: List[str] = [spec.skeleton.wait_syscall()]

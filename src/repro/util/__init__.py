@@ -16,17 +16,14 @@ from repro.util.quantize import (
     next_pow2,
     pow2_bins,
     prev_pow2,
-    quantize_pow2,
 )
 from repro.util.rng import RngStream, derive_seed, make_rng
 from repro.util.spec_hash import canonical_bytes, stable_digest
 from repro.util.stats import (
     Histogram,
     OnlineStats,
-    geometric_mean,
     percentile,
     relative_error,
-    weighted_mean,
 )
 
 __all__ = [
@@ -41,13 +38,10 @@ __all__ = [
     "RngStream",
     "SimulationError",
     "derive_seed",
-    "geometric_mean",
     "make_rng",
     "next_pow2",
     "percentile",
     "pow2_bins",
     "prev_pow2",
-    "quantize_pow2",
     "relative_error",
-    "weighted_mean",
 ]

@@ -34,29 +34,6 @@ def prev_pow2(value: int) -> int:
     return 1 << (value.bit_length() - 1)
 
 
-def quantize_pow2(value: int, lo: int, hi: int) -> int:
-    """Quantise ``value`` to the nearest power of two, clamped to [lo, hi].
-
-    ``lo`` and ``hi`` must themselves be powers of two. Ties round up,
-    which matches Ditto's conservative treatment of working sets (a
-    slightly larger footprint never under-reports misses).
-    """
-    for bound in (lo, hi):
-        if bound & (bound - 1) or bound <= 0:
-            raise ConfigurationError(f"bound {bound} is not a positive power of two")
-    if lo > hi:
-        raise ConfigurationError(f"lo ({lo}) must not exceed hi ({hi})")
-    if value <= lo:
-        return lo
-    if value >= hi:
-        return hi
-    below = prev_pow2(value)
-    above = next_pow2(value)
-    if value - below < above - value:
-        return below
-    return above
-
-
 def pow2_bins(lo: int, hi: int) -> List[int]:
     """All powers of two from ``lo`` to ``hi`` inclusive.
 

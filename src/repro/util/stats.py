@@ -25,28 +25,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
     return float(np.percentile(np.asarray(samples, dtype=float), q))
 
 
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Return the weighted arithmetic mean of ``values``."""
-    if len(values) != len(weights):
-        raise ConfigurationError("values and weights must have equal length")
-    total = float(np.sum(weights))
-    if total <= 0.0:
-        raise ConfigurationError("weights must sum to a positive value")
-    return float(np.dot(values, weights) / total)
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Return the geometric mean of strictly positive ``values``."""
-    logs = []
-    for value in values:
-        if value <= 0.0:
-            raise ConfigurationError("geometric mean requires positive values")
-        logs.append(math.log(value))
-    if not logs:
-        raise ConfigurationError("geometric mean of empty sequence")
-    return math.exp(sum(logs) / len(logs))
-
-
 def relative_error(actual: float, synthetic: float) -> float:
     """Return ``|synthetic - actual| / |actual|``.
 
@@ -95,26 +73,6 @@ class OnlineStats:
     def stddev(self) -> float:
         """Population standard deviation of the observations so far."""
         return math.sqrt(self.variance)
-
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Return a new accumulator equivalent to seeing both streams."""
-        if self.count == 0:
-            return OnlineStats(
-                other.count, other.mean, other._m2, other.minimum, other.maximum
-            )
-        if other.count == 0:
-            return OnlineStats(
-                self.count, self.mean, self._m2, self.minimum, self.maximum
-            )
-        count = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / count
-        m2 = self._m2 + other._m2 + delta * delta * self.count * other.count / count
-        return OnlineStats(
-            count, mean, m2, min(self.minimum, other.minimum),
-            max(self.maximum, other.maximum),
-        )
-
 
 @dataclass
 class Histogram:

@@ -117,16 +117,6 @@ class TestSkeleton:
         blocking = self._skeleton(server_model=ServerNetworkModel.BLOCKING)
         assert blocking.wait_syscall() == "recv"
 
-    def test_epoll_batching_grows_with_load(self):
-        skeleton = self._skeleton()
-        low = skeleton.expected_batch(qps=100, workers=4)
-        high = skeleton.expected_batch(qps=1_000_000, workers=4)
-        assert low < high <= skeleton.max_batch
-
-    def test_blocking_never_batches(self):
-        skeleton = self._skeleton(server_model=ServerNetworkModel.BLOCKING)
-        assert skeleton.expected_batch(qps=1e6, workers=1) == 1.0
-
     def test_duplicate_thread_class_names_rejected(self):
         with pytest.raises(ConfigurationError):
             self._skeleton(thread_classes=(

@@ -112,9 +112,15 @@ class TestSocialNetwork:
     def test_deployment_is_a_dag(self):
         deployment = social_network_deployment()
         assert deployment.entry_service == "frontend"
-        order = deployment.tier_order()
-        assert order[0] == "frontend"
-        assert set(order) == set(deployment.services)
+        # every tier is reachable from the entry service
+        reached, frontier = set(), [deployment.entry_service]
+        while frontier:
+            name = frontier.pop()
+            if name not in reached:
+                reached.add(name)
+                frontier.extend(
+                    deployment.services[name].program.downstream_services())
+        assert reached == set(deployment.services)
 
     def test_compose_path_reaches_text_service(self):
         services = build_social_network()

@@ -180,6 +180,22 @@ class TestJobStore:
         assert store.recover() == []
         assert store.get(record.job_id).state is JobState.PROFILING
 
+    def test_terminal_states_that_never_resume_drop_checkpoints(
+            self, tmp_path):
+        store = JobStore(str(tmp_path))
+        kept, dropped = (store.submit(CloneJobSpec(request=_request(seed=s)))
+                         for s in (1, 2))
+        for record in (kept, dropped):
+            os.makedirs(store.checkpoint_dir(record.job_id))
+            open(os.path.join(store.checkpoint_dir(record.job_id),
+                              "tier.pkl"), "wb").close()
+            store.transition(record, JobState.PROFILING)
+        # a failed job keeps its tiers: a retry resumes from them
+        store.transition(kept, JobState.FAILED, reason="boom")
+        assert os.listdir(store.checkpoint_dir(kept.job_id)) == ["tier.pkl"]
+        store.transition(dropped, JobState.CANCELLED)
+        assert not os.path.exists(store.checkpoint_dir(dropped.job_id))
+
 
 class TestFleetEndToEnd:
     @pytest.fixture(scope="class")
@@ -246,6 +262,27 @@ class TestFleetEndToEnd:
         assert result.result_digest == client.get(first.job_id).result_digest
         assert result.executor == "serial"
         assert "memcached" in result.tuning_iterations
+
+    def test_published_job_leaves_no_checkpoints(self, tmp_path):
+        client = FleetClient(str(tmp_path))
+        store = client.store
+        first = client.submit(_request(), name="first")
+        FleetScheduler(store, executor="serial").run_until_idle()
+        assert client.get(first.job_id).state is JobState.PUBLISHED
+        assert not os.path.exists(store.checkpoint_dir(first.job_id))
+        # The identical spec, submitted after the first job published,
+        # still reuses its stored profile and shared-cache entries.
+        second = client.submit(_request(), name="second")
+        session = Telemetry(label="resubmit")
+        FleetScheduler(store, executor="serial",
+                       telemetry=session).run_until_idle()
+        assert _states(client.get(second.job_id)) == [
+            JobState.TUNING, JobState.PUBLISHED]
+        hits = session.registry.get("ditto_fleet_shared_cache_hits_total")
+        assert hits is not None and hits.total() >= 1
+        assert (client.get(second.job_id).result_digest
+                == client.get(first.job_id).result_digest)
+        assert os.listdir(store.checkpoints_dir) == []
 
     def test_retire_published(self, published):
         client, first, _, _, _ = published

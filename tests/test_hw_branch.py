@@ -59,21 +59,21 @@ class TestGenerateBranchOutcomes:
 class TestGsharePredictor:
     def test_learns_always_taken(self):
         predictor = GsharePredictor(history_bits=8)
-        for _ in range(200):
-            predictor.predict_and_update(pc=100, taken=True)
+        predictor.predict_and_update_many(np.full(200, 100),
+                                          np.ones(200, dtype=bool))
         assert predictor.misprediction_rate < 0.05
 
     def test_learns_alternating_pattern(self):
         predictor = GsharePredictor(history_bits=8)
-        for i in range(2000):
-            predictor.predict_and_update(pc=100, taken=bool(i % 2))
+        predictor.predict_and_update_many(np.full(2000, 100),
+                                          np.arange(2000) % 2 == 1)
         assert predictor.misprediction_rate < 0.1
 
     def test_random_pattern_near_half(self):
         rng = np.random.default_rng(0)
         predictor = GsharePredictor(history_bits=8)
-        for taken in rng.random(4000) < 0.5:
-            predictor.predict_and_update(pc=100, taken=bool(taken))
+        predictor.predict_and_update_many(np.full(4000, 100),
+                                          rng.random(4000) < 0.5)
         assert 0.35 < predictor.misprediction_rate < 0.6
 
     def test_idle_rate_zero(self):

@@ -7,7 +7,6 @@ from repro.isa import (
     SKYLAKE_SERVER,
     IForm,
     InstructionCategory,
-    OperandKind,
     PortGroup,
     RegisterClass,
     RegisterFile,
@@ -31,10 +30,6 @@ class TestRegisterFile:
         for reserved in ("r8", "r9", "r10", "r11", "rsp", "rbp"):
             assert reserved not in free_names
 
-    def test_pool_for_xmm_is_full(self):
-        rf = RegisterFile()
-        assert len(rf.pool(RegisterClass.XMM)) == 16
-
     def test_by_name(self):
         assert RegisterFile().by_name("rax").reg_class is RegisterClass.GPR
 
@@ -45,10 +40,6 @@ class TestRegisterFile:
     def test_unknown_reserved_name_raises(self):
         with pytest.raises(ConfigurationError):
             RegisterFile(reserved_names=("bogus",))
-
-    def test_flags_has_no_pool(self):
-        with pytest.raises(ConfigurationError):
-            RegisterFile().pool(RegisterClass.FLAGS)
 
 
 class TestCatalog:

@@ -3,19 +3,18 @@
 import pytest
 
 from repro.hw import PLATFORM_A, PLATFORM_B, PLATFORM_C
+from repro.faults import FaultInjector, FaultPlan, NodeCrashFault
 from repro.kernelsim import (
     ContextSwitchModel,
     CpuDevice,
     FileSystem,
-    NetworkFabric,
     NicDevice,
     Node,
     PageCache,
 )
 from repro.kernelsim.filesystem import FileSpec
-from repro.kernelsim.netstack import Message
 from repro.sim import Environment
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, FaultInjectionError
 
 
 class TestPageCache:
@@ -89,93 +88,114 @@ class TestFileSystem:
             fs.read("nope", 1)
 
 
-class TestNicAndFabric:
+def _run(env, body):
+    """Run ``body`` as a process; returns the sim time it finished at."""
+    done = {}
+
+    def proc():
+        yield from body()
+        done["t"] = env.now
+
+    env.process(proc())
+    env.run()
+    return done["t"]
+
+
+def _crash(env, at_s):
+    """Attach an injector that takes ``node0`` down at ``at_s`` for 1 s."""
+    plan = FaultPlan((NodeCrashFault(node="node0", at_s=at_s,
+                                     downtime_s=1.0),))
+    return FaultInjector(plan, seed=0).attach(env)
+
+
+def _occupy(env, start_op):
+    """Start an op now, in a process of its own."""
+    def proc():
+        yield start_op()
+
+    env.process(proc())
+
+
+def _doomed(env, at_s, start_op, errors):
+    """At ``at_s``, start an op and record the error it fails with."""
+    def proc():
+        yield env.timeout(at_s)
+        try:
+            yield start_op()
+        except FaultInjectionError as error:
+            errors.append((env.now, error.kind))
+
+    env.process(proc())
+
+
+class TestNic:
     def test_transmit_time_matches_bandwidth(self):
         env = Environment()
         nic = NicDevice(env, PLATFORM_B.network)  # 1 GbE = 125 MB/s
-        done = {}
 
-        def proc():
-            yield env.process(nic.transmit(125_000_000))
-            done["t"] = env.now
+        def body():
+            yield nic.transmit_op(125_000_000)
 
-        env.process(proc())
-        env.run()
-        assert done["t"] == pytest.approx(1.0, rel=0.01)
+        assert _run(env, body) == pytest.approx(1.0, rel=0.01)
         assert nic.tx_bytes == 125_000_000
 
     def test_bandwidth_share_slows_transmit(self):
         env = Environment()
         nic = NicDevice(env, PLATFORM_B.network, bandwidth_share=0.5)
-        done = {}
+
+        def body():
+            yield nic.transmit_op(125_000_000)
+
+        assert _run(env, body) == pytest.approx(2.0, rel=0.01)
+
+    def test_sends_serialise_on_the_wire(self):
+        env = Environment()
+        nic = NicDevice(env, PLATFORM_B.network)
+        finish = []
 
         def proc():
-            yield env.process(nic.transmit(125_000_000))
-            done["t"] = env.now
+            yield nic.transmit_op(62_500_000)
+            finish.append(env.now)
 
         env.process(proc())
-        env.run()
-        assert done["t"] == pytest.approx(2.0, rel=0.01)
-
-    def test_fabric_cross_node_latency(self):
-        env = Environment()
-        fabric = NetworkFabric(env)
-        fabric.attach("n1", NicDevice(env, PLATFORM_A.network, name="n1"))
-        fabric.attach("n2", NicDevice(env, PLATFORM_A.network, name="n2"))
-        done = {}
-
-        def proc():
-            yield env.process(fabric.deliver(Message("n1", "n2", 1250)))
-            done["t"] = env.now
-
         env.process(proc())
         env.run()
-        # 1250B at 1.25GB/s = 1us, plus 30us base latency.
-        assert done["t"] == pytest.approx(31e-6, rel=0.05)
-        assert fabric.nic("n2").rx_bytes == 1250
+        assert finish == [pytest.approx(0.5), pytest.approx(1.0)]
+        assert nic.tx_bytes == 125_000_000
 
-    def test_loopback_is_instant_but_counted(self):
+    def test_negative_size_fails_the_completion(self):
         env = Environment()
-        fabric = NetworkFabric(env)
-        fabric.attach("n1", NicDevice(env, PLATFORM_A.network))
-        done = {}
+        nic = NicDevice(env, PLATFORM_B.network)
 
-        def proc():
-            yield env.process(fabric.deliver(Message("n1", "n1", 5000)))
-            done["t"] = env.now
+        def body():
+            with pytest.raises(ConfigurationError):
+                yield nic.transmit_op(-1)
 
-        env.process(proc())
+        _run(env, body)
+        assert nic._wire.in_use == 0
+
+    def test_crashed_node_fails_send_and_frees_wire(self):
+        env = Environment()
+        nic = NicDevice(env, PLATFORM_B.network, name="node0-nic")
+        _crash(env, at_s=0.5)
+        errors = []
+        _occupy(env, lambda: nic.transmit_op(125_000_000))
+        _doomed(env, 0.6, lambda: nic.transmit_op(1000), errors)
         env.run()
-        assert done["t"] == 0.0
-        assert fabric.nic("n1").tx_bytes == 5000
-        assert fabric.nic("n1").rx_bytes == 5000
-
-    def test_duplicate_attach_rejected(self):
-        env = Environment()
-        fabric = NetworkFabric(env)
-        fabric.attach("n1", NicDevice(env, PLATFORM_A.network))
-        with pytest.raises(ConfigurationError):
-            fabric.attach("n1", NicDevice(env, PLATFORM_A.network))
-
-    def test_unknown_node_rejected(self):
-        env = Environment()
-        with pytest.raises(ConfigurationError):
-            NetworkFabric(env).nic("ghost")
+        assert errors == [(pytest.approx(0.6), "node_down")]
+        assert nic._wire.in_use == 0
+        assert nic.tx_bytes == 125_000_000
 
 
 class TestCpuDevice:
     def test_execute_holds_core_for_cycles(self):
         env = Environment()
         cpu = CpuDevice(env, cores=1, frequency_hz=1e9)
-        done = {}
 
-        def proc():
-            yield env.process(cpu.execute(cycles=2e9))
-            done["t"] = env.now
+        def body():
+            yield cpu.execute_op(cycles=2e9)
 
-        env.process(proc())
-        env.run()
-        assert done["t"] == pytest.approx(2.0)
+        assert _run(env, body) == pytest.approx(2.0)
         assert cpu.busy_seconds == pytest.approx(2.0)
 
     def test_queueing_beyond_cores(self):
@@ -184,7 +204,7 @@ class TestCpuDevice:
         finish = []
 
         def proc():
-            yield env.process(cpu.execute(cycles=1e9))
+            yield cpu.execute_op(cycles=1e9)
             finish.append(env.now)
 
         env.process(proc())
@@ -196,27 +216,46 @@ class TestCpuDevice:
         env = Environment()
         cpu = CpuDevice(env, cores=1, frequency_hz=2.1e9)
         switch = ContextSwitchModel(PLATFORM_A.context())
-        done = {}
 
-        def proc():
-            yield env.process(cpu.execute(cycles=0, switch=switch))
-            done["t"] = env.now
+        def body():
+            yield cpu.execute_op(cycles=0, switch=switch)
 
-        env.process(proc())
-        env.run()
-        assert done["t"] > 0
+        assert _run(env, body) > 0
         assert cpu.context_switches == 1
 
     def test_utilisation(self):
         env = Environment()
         cpu = CpuDevice(env, cores=2, frequency_hz=1e9)
 
-        def proc():
-            yield env.process(cpu.execute(cycles=1e9))
+        def body():
+            yield cpu.execute_op(cycles=1e9)
 
-        env.process(proc())
-        env.run()
+        _run(env, body)
         assert cpu.utilisation(elapsed_seconds=1.0) == pytest.approx(0.5)
+
+    def test_negative_cycles_fail_the_completion(self):
+        env = Environment()
+        cpu = CpuDevice(env, cores=1, frequency_hz=1e9)
+
+        def body():
+            with pytest.raises(ConfigurationError):
+                yield cpu.execute_op(cycles=-1)
+
+        _run(env, body)
+        assert cpu.in_use == 0
+
+    def test_crashed_node_fails_execute_and_frees_pool(self):
+        env = Environment()
+        cpu = CpuDevice(env, cores=1, frequency_hz=1e9, name="node0-cpu")
+        _crash(env, at_s=0.5)
+        errors = []
+        _occupy(env, lambda: cpu.execute_op(cycles=1e9))
+        _doomed(env, 0.6, lambda: cpu.execute_op(cycles=1e9), errors)
+        env.run()
+        assert errors == [(pytest.approx(0.6), "node_down")]
+        assert cpu.in_use == 0
+        assert cpu.queue_length == 0
+        assert cpu.busy_seconds == pytest.approx(1.0)
 
     def test_invalid_construction(self):
         env = Environment()
@@ -247,16 +286,13 @@ class TestNode:
     def test_disk_io_and_counters(self):
         env = Environment()
         node = Node(env, PLATFORM_A)
-        done = {}
 
-        def proc():
-            yield env.process(node.disk.io(1_000_000))
-            done["t"] = env.now
+        def body():
+            yield node.disk.io_op(1_000_000)
 
-        env.process(proc())
-        env.run()
         # SSD: 90us latency + 1MB/520MBps ~ 2.01ms
-        assert done["t"] == pytest.approx(90e-6 + 1e6 / 520e6, rel=0.01)
+        assert _run(env, body) == pytest.approx(90e-6 + 1e6 / 520e6,
+                                                rel=0.01)
         assert node.disk.read_bytes == 1_000_000
 
     def test_hdd_slower_than_ssd(self):
@@ -267,10 +303,35 @@ class TestNode:
 
         def proc(node, tag):
             start = env.now
-            yield env.process(node.disk.io(4096))
+            yield node.disk.io_op(4096)
             times[tag] = env.now - start
 
         env.process(proc(ssd_node, "ssd"))
         env.process(proc(hdd_node, "hdd"))
         env.run()
         assert times["hdd"] > 10 * times["ssd"]
+
+    def test_write_counts_write_bytes(self):
+        env = Environment()
+        node = Node(env, PLATFORM_A)
+
+        def body():
+            yield node.disk.io_op(4096, write=True)
+
+        _run(env, body)
+        assert node.disk.write_bytes == 4096
+        assert node.disk.read_bytes == 0
+        assert node.disk.operations == 1
+
+    def test_crashed_node_fails_io_and_frees_queue(self):
+        env = Environment()
+        node = Node(env, PLATFORM_B)  # HDD: one queue slot
+        _crash(env, at_s=0.001)
+        errors = []
+        _occupy(env, lambda: node.disk.io_op(1_000_000))
+        _doomed(env, 0.002, lambda: node.disk.io_op(4096), errors)
+        env.run()
+        assert errors == [(pytest.approx(0.002), "node_down")]
+        assert node.disk._queue.in_use == 0
+        assert node.disk._channel.in_use == 0
+        assert node.disk.operations == 1

@@ -10,7 +10,6 @@ from repro.loadgen import (
     LoadSpec,
     OpenLoopGenerator,
     UniformKeys,
-    ZipfKeys,
 )
 from repro.sim import Environment
 from repro.util.errors import ConfigurationError
@@ -50,22 +49,12 @@ class TestDistributions:
         seen = {gen.next_key() for _ in range(500)}
         assert seen == set(range(10))
 
-    def test_zipf_head_heavier_than_tail(self):
-        rng = np.random.default_rng(2)
-        gen = ZipfKeys(1000, rng, s=0.99)
-        draws = [gen.next_key() for _ in range(5000)]
-        head = sum(1 for key in draws if key < 10)
-        tail = sum(1 for key in draws if key >= 990)
-        assert head > 10 * max(1, tail)
-
     def test_invalid_parameters(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
             ExponentialInterarrival(0.0, rng)
         with pytest.raises(ConfigurationError):
             UniformKeys(0, rng)
-        with pytest.raises(ConfigurationError):
-            ZipfKeys(10, rng, s=0.0)
 
 
 class TestLoadSpec:

@@ -31,13 +31,13 @@ from repro.hw.platform import PLATFORM_B, PLATFORM_C
 from repro.migrate import (
     MIGRATION_TOLERANCES,
     MigrationError,
-    MigrationRequest,
     PreflightReport,
     Verdict,
     migrate_bundle,
     run_preflight,
 )
 from repro.migrate.__main__ import main as migrate_main
+from repro.telemetry.report import render_migration_document
 from repro.util.errors import ArtifactIntegrityError
 from repro.validation.__main__ import main as validation_main
 from repro.validation.remediate import RemediationPolicy
@@ -307,6 +307,18 @@ class TestMigrateCli:
         assert read_bundle_document(out)["format"] == "ditto-migration"
         report = json.loads(preflight.read_text())
         assert report["format"] == "ditto-preflight-report/1"
+
+    def test_publish_prints_the_published_artifact(self, source_bundle,
+                                                   tmp_path, capsys):
+        out = tmp_path / "shown.migrated.json"
+        code = migrate_main([str(source_bundle), "--destination", "A",
+                             "--out", str(out), "--duration", "0.05"])
+        assert code == 0
+        shown = capsys.readouterr().out
+        rendered = render_migration_document(read_bundle_document(out))
+        assert shown.startswith(rendered + "\n")
+        assert "== destination gate ==" in shown
+        assert shown.rstrip().endswith("gate PASS)")
 
     def test_preflight_refusal_exits_two(self, two_node_bundle, tmp_path,
                                          capsys):

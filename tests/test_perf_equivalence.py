@@ -1,8 +1,8 @@
 """Bit-identity proofs for the simulation fast paths.
 
-The perf work (vectorized cache/branch models, the slotted DES engine,
-cached histogram samplers) is only admissible because it changes *no*
-observable result. These tests pin that down two ways:
+The perf work (vectorized stack-distance/branch models, the slotted DES
+engine, cached histogram samplers) is only admissible because it changes
+*no* observable result. These tests pin that down two ways:
 
 * property tests — the batch/vectorized implementations must agree
   element-for-element (and state-for-state) with their scalar reference
@@ -14,22 +14,16 @@ observable result. These tests pin that down two ways:
 """
 
 import numpy as np
-import pytest
 
-from repro.hw.branch import (
-    GsharePredictor,
-    generate_branch_outcomes,
-    generate_branch_outcomes_reference,
-)
-from repro.hw.cache import CacheConfig, SetAssociativeCache, generate_access_stream
-from repro.hw.ir import MemAccessSpec, MemPattern
+from repro.hw.branch import GsharePredictor, generate_branch_outcomes
 from repro.hw.stackdist import stack_distances
-from repro.profiling.wset import reuse_distances, reuse_distances_reference
-from repro.util.rng import make_rng
+from repro.profiling.wset import reuse_distances
 from repro.util.stats import Histogram
-
-PATTERNS = [MemPattern.SEQUENTIAL, MemPattern.STRIDED, MemPattern.RANDOM,
-            MemPattern.POINTER_CHASE]
+from tests._oracles import (
+    generate_branch_outcomes_reference,
+    predict_and_update,
+    reuse_distances_reference,
+)
 
 
 # --------------------------------------------------------------------- #
@@ -55,49 +49,6 @@ class TestStackDistances:
     def test_first_touches_are_minus_one(self):
         distances = stack_distances(np.array([5, 9, 5, 9, 5]))
         np.testing.assert_array_equal(distances, [-1, -1, 1, 1, 1])
-
-
-# --------------------------------------------------------------------- #
-# set-associative cache: batch vs scalar
-# --------------------------------------------------------------------- #
-def _clone_state(cache):
-    return [list(ways) for ways in cache._sets]
-
-
-class TestCacheBatchEquivalence:
-    @pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.name)
-    def test_patterns_match_scalar(self, pattern):
-        spec = MemAccessSpec(wset_bytes=256 * 1024, accesses=4096,
-                             pattern=pattern)
-        stream = generate_access_stream(spec, make_rng(3, pattern.name), 4096)
-        batch = SetAssociativeCache(CacheConfig("l2", 64 * 1024, 8, 12))
-        scalar = SetAssociativeCache(CacheConfig("l2", 64 * 1024, 8, 12))
-        hits_batch = batch.access_many(stream)
-        hits_scalar = scalar._access_many_scalar(stream)
-        assert hits_batch == hits_scalar
-        assert (batch.hits, batch.misses) == (scalar.hits, scalar.misses)
-        assert _clone_state(batch) == _clone_state(scalar)
-
-    def test_random_configs_and_interleaving(self):
-        rng = np.random.default_rng(11)
-        for trial in range(20):
-            assoc = int(rng.choice([1, 2, 4, 8]))
-            sets = int(rng.choice([4, 16, 64]))
-            cfg = CacheConfig("t", 64 * assoc * sets, assoc, 1)
-            batch = SetAssociativeCache(cfg)
-            scalar = SetAssociativeCache(cfg)
-            # several rounds so the batch path starts from warm state too
-            for _ in range(3):
-                stream = rng.integers(0, sets * assoc * 4, size=300) * 64
-                assert batch.access_many(stream) == \
-                    scalar._access_many_scalar(stream)
-                # interleave scalar singles between batches
-                extra = rng.integers(0, sets * assoc * 4, size=5) * 64
-                for address in extra:
-                    assert batch.access(int(address)) == \
-                        scalar.access(int(address))
-            assert (batch.hits, batch.misses) == (scalar.hits, scalar.misses)
-            assert _clone_state(batch) == _clone_state(scalar)
 
 
 # --------------------------------------------------------------------- #
@@ -136,7 +87,7 @@ class TestBranchEquivalence:
                 takens = rng.random(n) < 0.7
                 batch_correct = batch_pred.predict_and_update_many(pcs, takens)
                 scalar_correct = np.array([
-                    scalar_pred.predict_and_update(int(pc), bool(t))
+                    predict_and_update(scalar_pred, int(pc), bool(t))
                     for pc, t in zip(pcs, takens)])
                 np.testing.assert_array_equal(batch_correct, scalar_correct)
             assert batch_pred._history == scalar_pred._history

@@ -5,11 +5,10 @@ import pytest
 
 from repro.app.service import Deployment
 from repro.app.skeleton import ServerNetworkModel
-from repro.app.workloads import build_memcached, build_mongodb, build_redis
+from repro.app.workloads import build_memcached, build_mongodb
 from repro.hw import PLATFORM_A
 from repro.loadgen import LoadSpec
 from repro.profiling import (
-    ProfilingBudget,
     profile_branches,
     profile_dependencies,
     profile_deployment,
@@ -88,7 +87,8 @@ class TestReuseDistances:
 
     def test_matches_explicit_lru_simulation(self):
         # Mattson stack distances must agree with the LRU simulator.
-        from repro.hw.cache import CacheConfig, SetAssociativeCache
+        from repro.hw.cache import CacheConfig
+        from tests._oracles import SetAssociativeCache
         rng = np.random.default_rng(0)
         addresses = (rng.integers(0, 64, size=800) * 64).astype(np.int64)
         distances = reuse_distances(addresses)

@@ -11,18 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import BlockSpec, CoreModel, MemAccessSpec, MemPattern, PLATFORM_A
-from repro.hw.cache import (
-    CacheConfig,
-    SetAssociativeCache,
-    generate_access_stream,
-    miss_fraction,
-)
+from repro.hw.cache import CacheConfig, generate_access_stream, miss_fraction
 from repro.hw.ir import BranchSpec, DependencyProfile
 from repro.profiling.wset import (
     invert_data_hits,
     profile_working_sets,
     reuse_distances,
 )
+from tests._oracles import SetAssociativeCache
 
 
 class TestLruThresholdTheorem:

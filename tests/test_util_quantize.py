@@ -10,7 +10,6 @@ from repro.util import (
     next_pow2,
     pow2_bins,
     prev_pow2,
-    quantize_pow2,
 )
 from repro.util.quantize import bin_index, exponential_bins
 
@@ -35,33 +34,6 @@ class TestPow2Helpers:
     def test_bracketing_invariant(self, value):
         assert prev_pow2(value) <= value <= next_pow2(value)
         assert next_pow2(value) <= 2 * prev_pow2(value)
-
-
-class TestQuantizePow2:
-    def test_clamps_low(self):
-        assert quantize_pow2(1, 64, 1024) == 64
-
-    def test_clamps_high(self):
-        assert quantize_pow2(10**9, 64, 1024) == 1024
-
-    def test_ties_round_up(self):
-        # 96 is equidistant between 64 and 128.
-        assert quantize_pow2(96, 64, 1024) == 128
-
-    def test_nearest_below(self):
-        assert quantize_pow2(70, 64, 1024) == 64
-
-    def test_bad_bounds_raise(self):
-        with pytest.raises(ConfigurationError):
-            quantize_pow2(10, 63, 1024)
-        with pytest.raises(ConfigurationError):
-            quantize_pow2(10, 1024, 64)
-
-    @given(st.integers(1, 2**30))
-    def test_result_is_power_of_two_in_range(self, value):
-        result = quantize_pow2(value, 64, 2**20)
-        assert result & (result - 1) == 0
-        assert 64 <= result <= 2**20
 
 
 class TestPow2Bins:

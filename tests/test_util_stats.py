@@ -11,10 +11,8 @@ from repro.util import (
     ConfigurationError,
     Histogram,
     OnlineStats,
-    geometric_mean,
     percentile,
     relative_error,
-    weighted_mean,
 )
 
 
@@ -38,31 +36,6 @@ class TestPercentile:
     def test_p0_is_min_p100_is_max(self, samples):
         assert percentile(samples, 0) == pytest.approx(min(samples))
         assert percentile(samples, 100) == pytest.approx(max(samples))
-
-
-class TestWeightedMean:
-    def test_uniform_weights_is_plain_mean(self):
-        assert weighted_mean([1, 2, 3], [1, 1, 1]) == pytest.approx(2.0)
-
-    def test_weighting_pulls_toward_heavy_value(self):
-        assert weighted_mean([0, 10], [1, 3]) == pytest.approx(7.5)
-
-    def test_mismatched_lengths_raise(self):
-        with pytest.raises(ConfigurationError):
-            weighted_mean([1], [1, 2])
-
-    def test_zero_weights_raise(self):
-        with pytest.raises(ConfigurationError):
-            weighted_mean([1, 2], [0, 0])
-
-
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean([1, 100]) == pytest.approx(10.0)
-
-    def test_nonpositive_raises(self):
-        with pytest.raises(ConfigurationError):
-            geometric_mean([1.0, 0.0])
 
 
 class TestRelativeError:
@@ -92,25 +65,6 @@ class TestOnlineStats:
         assert acc.variance == pytest.approx(np.var(values))
         assert acc.minimum == 1.0
         assert acc.maximum == 9.0
-
-    def test_merge_equivalent_to_concatenation(self):
-        left, right = OnlineStats(), OnlineStats()
-        left.extend([1.0, 2.0])
-        right.extend([3.0, 4.0, 5.0])
-        merged = left.merge(right)
-        direct = OnlineStats()
-        direct.extend([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert merged.count == direct.count
-        assert merged.mean == pytest.approx(direct.mean)
-        assert merged.variance == pytest.approx(direct.variance)
-
-    def test_merge_with_empty_is_identity(self):
-        acc = OnlineStats()
-        acc.extend([1.0, 2.0, 3.0])
-        merged = acc.merge(OnlineStats())
-        assert merged.mean == pytest.approx(acc.mean)
-        merged2 = OnlineStats().merge(acc)
-        assert merged2.mean == pytest.approx(acc.mean)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
     def test_variance_never_negative(self, values):
